@@ -1,17 +1,24 @@
-"""Grevlex Buchberger and FGLM lex conversion for zero-dimensional ideals.
+"""Grevlex Buchberger and a multi-modular FGLM for zero-dimensional ideals.
 
 The solver eliminates through this pipeline: a graded reverse
 lexicographic basis is computed with Buchberger's algorithm (fraction-free
 over the integers, Gebauer-Moeller pair pruning), the quotient staircase
-is read off, and FGLM converts to lexicographic order, where a system in
-shape position is just an eliminant in the last variable plus one
-back-substitution polynomial per remaining variable.
+and the multiplication matrices are read off, and ``fglm`` finds the
+eliminant p of the last variable z.  When the ideal is in shape position it
+also finds the rational univariate representation x_i = g_i(z) / p_sq'(z),
+p_sq the square-free part of p.  Both come from Krylov sequences modulo
+word-size primes, lifted to Q and checked there exactly before they are
+returned.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import chain, islice
 from math import gcd as int_gcd
+from math import isqrt, lcm
+
+import numpy as np
 
 from . import unipoly
 from .backend import kernel as K
@@ -199,31 +206,42 @@ def quotient_basis(gb: list, nvars: int) -> list:
     return out
 
 
-# -- FGLM -------------------------------------------------------------------
+# -- FGLM: rational univariate representation, lifted and checked over Q ---
+#
+# In the quotient algebra Q[x]/I of dimension D, the eliminant p of the last
+# variable z is the minimal polynomial of z acting on 1, and the ideal is in
+# shape position exactly when deg p = D.  fglm finds p, and then
+# g_i = h_i p_sq' mod p_sq for the shape polynomials x_i = h_i(z), from Krylov
+# sequences 1, z, z^2, ... modulo word-size primes, lifts both by Chinese
+# remaindering and rational reconstruction, and checks the lift exactly on the
+# integer Krylov vectors.  The h_i themselves are never formed over Q: their
+# coefficients run to thousands of bits where those of p and the g_i take a
+# hundred or so (Rouillier's rational univariate representation).
 
 
 class LexBasis:
-    """Lexicographic basis data produced by FGLM.
+    """The eliminant of the last variable and, in shape position, the RUR.
 
-    Attributes: ``dimension`` (quotient dimension), ``elements`` (the lex
-    basis as rational Polynomials), ``eliminant`` (unipoly coefficient list
-    of the minimal polynomial of the last variable), ``shape`` (map from
-    variable index to unipoly coefficients h_i with x_i - h_i(last) in the
-    basis; complete exactly when the ideal is in shape position).
+    ``dimension`` is the quotient dimension D and ``eliminant`` the monic
+    generator p of the ideal's intersection with Q[z], z the last variable.
+    In shape position (deg p = D) ``squarefree`` is the square-free part p_sq
+    of p, ``denominator`` its derivative, and ``numerators[i]`` the g_i with
+    x_i = g_i(z) / p_sq'(z) at every point; otherwise they are None, None and
+    {}.  ``elements`` are ideal members that the exact check proved: p(z) and,
+    in shape position, (p / p_sq)(z) (p_sq'(z) x_i - g_i(z)) for every i.
     """
 
-    def __init__(self, nvars, dimension, elements, eliminant, shape):
+    def __init__(self, nvars, dimension, elements, eliminant, squarefree=None, numerators=None):
         self.nvars = nvars
         self.dimension = dimension
         self.elements = elements
         self.eliminant = eliminant
-        self.shape = shape
+        self.squarefree = squarefree
+        self.denominator = unipoly.derivative(squarefree) if squarefree else None
+        self.numerators = numerators or {}
 
     def in_shape_position(self) -> bool:
-        return (
-            len(self.eliminant) - 1 == self.dimension
-            and all(i in self.shape for i in range(self.nvars - 1))
-        )
+        return self.squarefree is not None
 
 
 def multiplication_matrices(gb: list, basis_monos: list, nvars: int):
@@ -253,112 +271,319 @@ def multiplication_matrices(gb: list, basis_monos: list, nvars: int):
     return mats
 
 
-def fglm(gb: list, nvars: int) -> LexBasis:
-    """Convert a zero-dimensional grevlex basis to the reduced lex basis."""
-    basis_monos = quotient_basis(gb, nvars)
-    D = len(basis_monos)
-    if D == 0:
-        return LexBasis(nvars, 0, [Polynomial.constant(nvars, rational(1))], [rational(1)], {})
-    mats = multiplication_matrices(gb, basis_monos, nvars)
+class _IntColumns:
+    """A rational matrix, given by its columns, as integers over one denominator.
 
-    # echelon rows: (pivot position, vector, combo dict over processed lex monos)
-    echelon = []
-    lex_staircase = {}       # mono -> vector (as list)
-    gb_leads = []
-    elements = []
-    heap = [(0,) * nvars]
-    seen = {(0,) * nvars}
-    parents = {}
+    The matrix is A / ``den``; ``columns[j]`` lists the (row, entry) pairs of
+    the nonzero entries of column j of the integer matrix A.
+    """
 
-    def vec_of(m):
-        if sum(m) == 0:
-            v = [ZERO] * D
-            v[basis_monos.index((0,) * nvars)] = rational(1)
-            return v
-        i, parent = parents[m]
-        pv = lex_staircase[parent]
-        cols = mats[i]
-        v = [ZERO] * D
-        for j, c in enumerate(pv):
-            if c == 0:
+    def __init__(self, cols: list, rows: int):
+        self.rows = rows
+        self.den = lcm(*(int(c.denominator) for col in cols for c in col if c))
+        self.columns = [
+            [(r, int(c.numerator) * (self.den // int(c.denominator))) for r, c in enumerate(col) if c]
+            for col in cols
+        ]
+
+    def apply(self, v: list) -> list:
+        """A v for an integer vector v."""
+        out = [0] * self.rows
+        for x, col in zip(v, self.columns):
+            if x:
+                for r, a in col:
+                    out[r] += a * x
+        return out
+
+    def modulo(self, q: int):
+        """A / den modulo q as an int64 array; q must not divide den."""
+        dense = [[0] * len(self.columns) for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for r, a in col:
+                dense[r][j] = a % q
+        dense = np.array(dense, dtype=np.int64).reshape(self.rows, len(self.columns))
+        return dense * pow(self.den, -1, q) % q
+
+
+class _Krylov:
+    """The vectors z^t of the quotient, exactly: w_t = ``vector(t)`` as (W, d), W / d."""
+
+    def __init__(self, mz: _IntColumns, start: int):
+        unit = [0] * mz.rows
+        unit[start] = 1
+        self.mz = mz
+        self.vectors = [(unit, 1)]
+
+    def vector(self, t: int) -> tuple:
+        while len(self.vectors) <= t:
+            w, d = self.vectors[-1]
+            w, d = self.mz.apply(w), d * self.mz.den
+            g = int_gcd(d, *w)
+            self.vectors.append(([x // g for x in w], d // g))
+        return self.vectors[t]
+
+    def combine(self, coeffs: list) -> tuple:
+        """sum_t coeffs[t] z^t as (V, den) with integer V: the vector is V / den.
+
+        The sum is kept over the lcm of the denominators met so far, which
+        grows by a small factor per step, so no term is multiplied by the
+        quotient of the last denominator by the first.
+        """
+        cden = lcm(*(int(c.denominator) for c in coeffs if c))
+        out, den = [0] * self.mz.rows, 1
+        for t, c in enumerate(coeffs):
+            if not c:
                 continue
-            col = cols[j]
-            for k in range(D):
-                if col[k] != 0:
-                    v[k] = v[k] + c * col[k]
-        return v
+            w, d = self.vector(t)
+            grown = lcm(den, d)
+            if grown != den:
+                up = grown // den
+                out, den = [x * up for x in out], grown
+            f = int(c.numerator) * (cden // int(c.denominator)) * (den // d)
+            for r, x in enumerate(w):
+                if x:
+                    out[r] += f * x
+        return out, den * cden
 
-    while heap:
-        m = heappop(heap)
-        if any(K.mono_divides(lead, m) for lead in gb_leads):
+
+# Primes below 2**bits, with bits chosen so that D q**2 < 2**62: the modular
+# products and eliminations of an image never leave int64.
+def _prime_bits(dim: int) -> int:
+    return (62 - dim.bit_length()) // 2
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 7, 61: deterministic below 4,759,123,141."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        if a % n == 0:
             continue
-        v = vec_of(m)
-        # reduce against the echelon, tracking the combination
-        combo = {}
-        w = list(v)
-        for pivot, row, row_combo in echelon:
-            c = w[pivot]
-            if c == 0:
-                continue
-            for k in range(pivot, D):
-                if row[k] != 0:
-                    w[k] = w[k] - c * row[k]
-            for b, cc in row_combo.items():
-                combo[b] = combo.get(b, ZERO) + c * cc
-        nz = next((k for k in range(D) if w[k] != 0), None)
-        if nz is None:
-            # dependency: m - sum combo[b] * b is a lex basis element
-            terms = {m: rational(1)}
-            for b, cc in combo.items():
-                if cc != 0:
-                    terms[b] = terms.get(b, ZERO) - cc
-            elements.append(Polynomial(nvars, terms))
-            gb_leads.append(m)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
         else:
-            # w = vec(m) - sum combo[b] vec(b); store row = w/lead with the
-            # matching combination so later reductions stay expressible
-            lead = w[nz]
-            row = [x / lead for x in w]
-            row_combo = {m: rational(1) / lead}
-            for b, cc in combo.items():
-                if cc != 0:
-                    row_combo[b] = row_combo.get(b, ZERO) - cc / lead
-            echelon.append((nz, row, row_combo))
-            lex_staircase[m] = v
-            for i in range(nvars):
-                child = tuple(e + (1 if k == i else 0) for k, e in enumerate(m))
-                if child not in seen:
-                    seen.add(child)
-                    parents[child] = (i, m)
-                    heappush(heap, child)
+            return False
+    return True
 
-    if len(lex_staircase) != D:
-        raise EliminationError("FGLM staircase size mismatch")
 
+def _primes(bits: int):
+    """The primes below 2**bits, largest first: the fixed list fglm works modulo."""
+    n = (1 << bits) - 1
+    while n > 2:
+        if _is_prime(n):
+            yield n
+        n -= 2
+
+
+# Primes fglm may try before it gives up.  The primes have 27 to 29 bits up
+# to D = 255, and the lifts are tried at moduli growing by 9/8, so every
+# coefficient of p and of the g_i whose numerator and denominator both stay
+# below about 6,000 bits is lifted within the budget; an input needing more
+# raises EliminationError.  The largest counts met: 85 primes (coefficients
+# of 2,324 bits, numerator and denominator together) when enlarging the
+# reconstruction point sets, 12 on (3,4) charts, 35 on a (3,6) chart.
+_PRIME_BUDGET = 512
+
+
+def _rref_mod(a, q: int) -> list:
+    """Row-reduce the int64 array a modulo the prime q in place; the pivot columns."""
+    pivots = []
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        if r == a.shape[0]:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if not nz.size:
+            continue
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, q) % q
+        f = a[:, c].copy()
+        f[r] = 0
+        a -= np.outer(f, a[r])
+        a %= q
+        pivots.append(c)
+    return pivots
+
+
+def _image(mz: _IntColumns, coords: _IntColumns, start: int, q: int):
+    """The Krylov data of the quotient modulo the prime q.
+
+    Returns (p, h): the minimal polynomial p of z on 1 modulo q (ascending,
+    monic) and, when its degree is D, the h_i with x_i = h_i(z) modulo q,
+    else None.  Returns None when q divides a denominator.
+    """
+    if mz.den % q == 0 or coords.den % q == 0:
+        return None
+    dim = mz.rows
+    a = np.zeros((dim, dim + 1 + len(coords.columns)), dtype=np.int64)
+    m = mz.modulo(q)
+    a[start, 0] = 1
+    for t in range(dim):
+        a[:, t + 1] = m @ a[:, t] % q
+    a[:, dim + 1 :] = coords.modulo(q)
+    # z^r is the first Krylov vector that depends on the earlier ones, and
+    # every later one depends too, so the Krylov pivots are 0 .. r-1
+    r = sum(1 for c in _rref_mod(a, q) if c <= dim)
+    p = [int(-x) % q for x in a[:r, r]] + [1]
+    if r < dim:
+        return p, None
+    return p, [[int(x) for x in a[:, j]] for j in range(dim + 1, a.shape[1])]
+
+
+def _rational(a: int, m: int):
+    """n/d with n = a d modulo m and |n|, d <= sqrt(m/2), or None."""
+    bound = isqrt(m >> 1)
+    r0, r1, s0, s1 = m, a % m, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
+    if s1 == 0 or abs(s1) > bound or int_gcd(r1, s1) != 1:
+        return None
+    return rational(r1, s1)
+
+
+class _Lift:
+    """Chinese remaindering and rational reconstruction of a list of rationals.
+
+    ``add`` folds in the residues modulo one more prime and returns the
+    reconstruction made before them once it predicts them, else None.
+    """
+
+    def __init__(self):
+        self.modulus = 1
+        self.residues = None
+        self.guess = None
+        self.attempt_bits = 0
+
+    def add(self, q: int, values: list):
+        guess, self.guess = self.guess, None
+        if self.residues is None:
+            self.residues, self.modulus = list(values), q
+        else:
+            m, inv = self.modulus, pow(self.modulus, -1, q)
+            self.residues = [x + m * ((v - x) * inv % q) for x, v in zip(self.residues, values)]
+            self.modulus = m * q
+        if guess is not None and all(
+            (int(g.numerator) - v * int(g.denominator)) % q == 0 for g, v in zip(guess, values)
+        ):
+            return guess
+        # reconstruct only at moduli 9/8 as long as the last try, so that the
+        # tries that fail cost a bounded multiple of the one that succeeds
+        bits = self.modulus.bit_length()
+        if bits >= self.attempt_bits:
+            self.attempt_bits = bits * 9 // 8
+            lifted = [_rational(x, self.modulus) for x in self.residues]
+            if None not in lifted:
+                self.guess = lifted
+        return None
+
+
+def _rur_numerator(h: list, dsq: list, sq: list, q: int) -> list:
+    """h dsq mod the monic sq, modulo q, padded to deg sq coefficients."""
+    prod = [0] * (len(h) + len(dsq) - 1)
+    for i, x in enumerate(h):
+        if x:
+            for j, y in enumerate(dsq):
+                prod[i + j] += x * y
+    n = len(sq) - 1
+    for k in range(len(prod) - 1, n - 1, -1):
+        c = prod[k] % q
+        if c:
+            for j in range(n):
+                prod[k - n + j] -= c * sq[j]
+    return [x % q for x in prod[:n]] + [0] * (n - len(prod))
+
+
+def fglm(gb: list, nvars: int) -> LexBasis:
+    """Eliminant and rational univariate representation of a grevlex basis.
+
+    Multi-modular (see the comment above ``LexBasis``): each prime gives the
+    Krylov data modulo q; primes that divide a denominator or give a lower
+    Krylov rank are dropped.  Since rank modulo q <= rank over Q, a lifted
+    monic p of that degree with p(M_z) 1 = 0 is the eliminant.  In shape
+    position the lifted g_i are then accepted only when
+    (p/p_sq)(z) (x_i p_sq'(z) - g_i(z)) 1 = 0, which makes x_i = g_i/p_sq' at
+    every root.  A lift that fails its check waits for more primes; past
+    ``_PRIME_BUDGET`` primes EliminationError is raised, so every returned
+    basis has been checked exactly.
+    """
+    basis_monos = quotient_basis(gb, nvars)
+    dim = len(basis_monos)
+    one = rational(1)
+    if dim == 0:
+        return LexBasis(nvars, 0, [Polynomial.constant(nvars, one)], [one])
+    mats = multiplication_matrices(gb, basis_monos, nvars)
+    start = basis_monos.index((0,) * nvars)
     last = nvars - 1
-    eliminant = None
-    shape = {}
-    for lead, p in zip(gb_leads, elements):
-        if all(e == 0 for e in lead[:last]):
-            # pure power of the last variable: the eliminant (found first,
-            # since lex enumeration starts with those powers)
-            coeffs = [ZERO] * (lead[last] + 1)
-            ok = True
-            for mono, c in p.terms.items():
-                if any(mono[k] for k in range(last)):
-                    ok = False
-                    break
-                coeffs[mono[last]] = c
-            if ok and eliminant is None:
-                eliminant = coeffs
-        if sum(lead) == 1 and lead[last] == 0:
-            i = lead.index(1)
-            rest = {mono: -c for mono, c in p.terms.items() if mono != lead}
-            if all(all(e == 0 for e in mono[:last]) for mono in rest):
-                h = [ZERO] * (max((mono[last] for mono in rest), default=0) + 1)
-                for mono, c in rest.items():
-                    h[mono[last]] = c
-                shape[i] = unipoly.trim(h)
-    if eliminant is None:
-        raise EliminationError("lex basis lacks a univariate eliminant")
-    return LexBasis(nvars, D, elements, unipoly.trim(eliminant), shape)
+    mz = _IntColumns(mats[last], dim)
+    coords = _IntColumns([mats[i][start] for i in range(last)], dim)
+    krylov = _Krylov(mz, start)
+    primes = islice(_primes(_prime_bits(dim)), _PRIME_BUDGET)
+
+    # the eliminant, lifted over the primes of the highest Krylov rank seen
+    images, lift, rank = [], _Lift(), 0
+    for q in primes:
+        image = _image(mz, coords, start, q)
+        if image is None or len(image[0]) - 1 < rank:
+            continue
+        if len(image[0]) - 1 > rank:
+            images, lift, rank = [], _Lift(), len(image[0]) - 1
+        images.append((q, image[1]))
+        p = lift.add(q, image[0])
+        if p is not None and not any(krylov.combine(p)[0]):
+            break
+    else:
+        raise EliminationError("no checked eliminant within the prime budget")
+    elements = [unipoly.to_multipoly(p, nvars, last)]
+    if rank < dim:
+        return LexBasis(nvars, dim, elements, p)
+
+    # shape position: the numerators g_i = h_i p_sq' mod p_sq
+    sq = unipoly.squarefree_part(p)
+    dsq = unipoly.derivative(sq)
+    cofactor = unipoly.exact_div(p, sq)
+    scale = unipoly.mul(cofactor, dsq)
+    fresh = (
+        (q, image[1])
+        for q in primes
+        for image in [_image(mz, coords, start, q)]
+        if image is not None and image[1] is not None
+    )
+    lift = _Lift()
+    n = len(sq) - 1
+    for q, shape in chain(images, fresh):
+        # p is integral at every prime of full rank, and so is its monic factor p_sq
+        sq_q, dsq_q = unipoly.modulo(sq, q), unipoly.modulo(dsq, q)
+        flat = lift.add(q, [c for h in shape for c in _rur_numerator(h, dsq_q, sq_q, q)])
+        if flat is None:
+            continue
+        numerators = {i: unipoly.trim(flat[i * n : (i + 1) * n]) for i in range(last)}
+        if _rur_holds(krylov, mats, scale, cofactor, numerators):
+            break
+    else:
+        raise EliminationError("no checked univariate representation within the prime budget")
+    z_scale = unipoly.to_multipoly(scale, nvars, last)
+    for i, g in numerators.items():
+        elements.append(
+            z_scale * Polynomial.variable(i, nvars)
+            - unipoly.to_multipoly(unipoly.mul(cofactor, g), nvars, last)
+        )
+    return LexBasis(nvars, dim, elements, p, sq, numerators)
+
+
+def _rur_holds(krylov: _Krylov, mats: list, scale: list, cofactor: list, numerators: dict) -> bool:
+    """x_i scale(z) 1 = (cofactor g_i)(z) 1 in the quotient, exactly, for every i."""
+    v, den = krylov.combine(scale)
+    for i, g in numerators.items():
+        mx = _IntColumns(mats[i], len(v))
+        lhs = mx.apply(v)  # mx.den * den * x_i scale(z) 1
+        rhs, rden = krylov.combine(unipoly.mul(cofactor, g))
+        if any(a * rden != b * mx.den * den for a, b in zip(lhs, rhs)):
+            return False
+    return True

@@ -19,6 +19,7 @@ import numpy as np
 from . import resultants, unipoly
 from . import groebner as gb_engine
 from .counts import expected_count
+from .exact_linalg import ExactMatrix
 from .multipoly import Polynomial
 from .points import ProjectivePoint, point_from_json
 from .rationals import is_rational, rational
@@ -363,10 +364,10 @@ def _solve_by_elimination(polys, k, rng, max_retries):
             return ChartResult([], positive_dimensional=True, notes=[str(exc)])
         if lex.dimension == 0:
             return ChartResult([], shear=coeffs)
-        if len(lex.eliminant) - 1 == lex.dimension and lex.in_shape_position():
+        if lex.in_shape_position():
             sols = _shape_back_substitute(polys, jac, lex, coeffs, k)
             notes = []
-            if not unipoly.is_squarefree(lex.eliminant):
+            if len(lex.squarefree) < len(lex.eliminant):
                 notes.append("eliminant not squarefree: multiplicity reported")
             return ChartResult(sols, notes=notes, shear=coeffs)
         last_note = (
@@ -381,19 +382,39 @@ def _solve_by_elimination(polys, k, rng, max_retries):
 
 
 def _shape_back_substitute(polys, jac, lex, coeffs, k):
-    shapes = [lex.shape[i] for i in range(k - 1)]
+    """Chart points x_i = g_i(z) / p_sq'(z) at the roots z of the eliminant."""
+    numerators = [lex.numerators[i] for i in range(k - 1)]
     sols = []
     for z0, mult in univariate_roots(lex.eliminant):
         if is_rational(z0):
-            coords = tuple(unipoly.evaluate(h, z0) for h in shapes) + (z0,)
+            den = unipoly.evaluate(lex.denominator, z0)
+            coords = tuple(unipoly.evaluate(g, z0) / den for g in numerators) + (z0,)
         else:
-            z_ref, values = unipoly.refined_values(lex.eliminant, shapes, z0)
-            coords = tuple(complex(v) for v in values) + (complex(z_ref),)
+            coords = _rur_point(lex, numerators, z0)
         coords = _unshear(coords, coeffs) if any(coeffs) else coords
         if not is_rational(z0):
             coords = tuple(_newton_polish(polys, jac, coords))
         sols.append((coords, mult))
     return sols
+
+
+def _rur_point(lex, numerators, z0):
+    """The coordinates g_i(z) / p_sq'(z) at the root z near z0, in double precision.
+
+    The values come from ``refined_values`` within 2**-bits, so a quotient
+    keeps 64 bits while |p_sq'(z)| >= 2**(64 - bits).  Until the computed
+    |p_sq'(z)| shows that, they are computed again with the bits it costs;
+    a denominator lost in the error reads too small, so each pass raises
+    bits by more than 32 until |p_sq'(z)|, nonzero at a simple root, is seen.
+    """
+    polys = numerators + [lex.denominator]
+    bits = unipoly.REFINE_BITS
+    z_ref, values = unipoly.refined_values(lex.squarefree, polys, z0)
+    while (short := 65 - values[-1].exponent()) > bits:
+        bits = short + 32
+        z_ref, values = unipoly.refined_values(lex.squarefree, polys, z0, bits)
+    *tops, bottom = values
+    return tuple(top / bottom for top in tops) + (complex(z_ref),)
 
 
 def _eigenvector_fallback(polys, k, rng):
@@ -487,6 +508,12 @@ def eigenpoints(
     points.sort(key=lambda pm: pm[0].sort_key())
 
     gens = minor_ideal_generators(EigenMatrix(t))
+    # an exact point counted more than once is simple when the minors'
+    # Jacobian there has full rank n
+    points = [
+        (p, 1 if m > 1 and p.exact and _jacobian_rank(gens, p.coords) == t.n else m)
+        for p, m in points
+    ]
     residual_ok = _check_residuals(points, gens, diagnostics)
 
     total = sum(m for _, m in points)
@@ -547,7 +574,8 @@ def _solve_projective(
                 coords = (rational(1), r) if is_rational(r) else (1.0 + 0j, r)
                 if _passes_filters(coords, filters):
                     out.append((coords, mult))
-        # the degree drop of the dehomogenization is the multiplicity at (0:1)
+        # the degree drop of the dehomogenization is the multiplicity of (0:1)
+        # on this line; eigenpoints() lowers it to 1 where the point is simple
         drop = binary.degree() - max(unipoly.deg(coeffs), 0)
         if drop > 0:
             coords = (rational(0), rational(1))
@@ -606,6 +634,21 @@ def _solve_projective(
         zero = rational(0) if exact else 0j
         out.append(((zero,) + tuple(coords), mult))
     return out
+
+
+def _jacobian_rank(gens, coords) -> int:
+    """Rank over Q of the Jacobian of ``gens`` at an exact projective point.
+
+    Taken in the affine chart of the first nonzero coordinate, whose
+    derivatives are the homogeneous ones with that coordinate's left out.
+    """
+    j = next(i for i, c in enumerate(coords) if c != 0)
+    point = [c / coords[j] for c in coords]
+    rows = [
+        [g.partial_derivative(k).evaluate(point) for k in range(len(coords)) if k != j]
+        for g in gens
+    ]
+    return ExactMatrix(rows).rank()
 
 
 def _passes_filters(coords, filters, tol=RESIDUAL_TOL):

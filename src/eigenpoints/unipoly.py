@@ -214,6 +214,10 @@ class FixedComplex:
         shift = scale - self.scale
         return self.re << shift, self.im << shift
 
+    def exponent(self) -> int:
+        """e with 2**(e-1) <= max(|re|, |im|) < 2**e for the value (e = -scale at 0)."""
+        return _bits((self.re, self.im)) - self.scale
+
     def __truediv__(self, other: "FixedComplex") -> complex:
         scale = max(self.scale, other.scale)
         return _gaussian_quotient(self._gaussian(scale), other._gaussian(scale))
@@ -243,26 +247,30 @@ def _newton(elim: list, zr: int, zi: int, s: int, loss: int) -> tuple:
     """Fixed-point Newton on ``elim`` (integers at scale 2**s) from zr + i zi.
 
     Stops once the step is within 2**24 units of the last place or the
-    residual is down to the rounding noise 2**loss.  Returns (zr, zi, p'(z)).
+    residual is down to the rounding noise 2**loss; a step from a residual
+    that is only noise is not taken, since over a small |p'(z)| it can throw
+    z far from a root it already holds.  Returns (zr, zi, p'(z)).
     """
     dp = (0, 0)
     for _ in range(80):
         p, dp = _horner(elim, zr, zi, s)
         den = dp[0] * dp[0] + dp[1] * dp[1]
-        if den == 0:
+        if den == 0 or _bits(p) <= loss:
             break
         # step = p / dp, in fixed point
         sr = ((p[0] * dp[0] + p[1] * dp[1]) << s) // den
         si = ((p[1] * dp[0] - p[0] * dp[1]) << s) // den
         zr, zi = zr - sr, zi - si
-        if _bits(p) <= loss:
-            break
         if max(abs(sr), abs(si)) <= (1 << 24) * (1 + (max(abs(zr), abs(zi)) >> s)):
             break
     return zr, zi, dp
 
 
-def refined_values(eliminant: list, polys: list, z0: complex, extra_bits: int = 160):
+# the bits ``refined_values`` carries beyond the values when not told otherwise
+REFINE_BITS = 160
+
+
+def refined_values(eliminant: list, polys: list, z0: complex, extra_bits: int = REFINE_BITS):
     """Newton-refine a floating root of ``eliminant`` and evaluate there.
 
     Both steps run in fixed point on Python ints (see ``_horner``), so
@@ -397,6 +405,51 @@ def _pseudo_rem_int(a: list, b: list) -> list:
     return r
 
 
+def modulo(c: list, q: int) -> list:
+    """The coefficients modulo q as integers in [0, q); q divides no denominator."""
+    return [int(x.numerator) * pow(int(x.denominator), -1, q) % q for x in c]
+
+
+# Reduced modulo this prime, a square-free polynomial almost always stays
+# square-free, and that proves it square-free over Q in word-size arithmetic,
+# where the exact gcd with its derivative works through remainders of
+# thousands of bits.
+_SQUAREFREE_PRIME = (1 << 31) - 1
+
+
+def _squarefree_mod(c: list) -> bool:
+    """True when the monic c is square-free modulo _SQUAREFREE_PRIME with its degree kept.
+
+    Then c is square-free over Q: a repeated factor over Q is monic with
+    coefficients free of q in their denominators, so it would repeat modulo q.
+    False says nothing.
+    """
+    q = _SQUAREFREE_PRIME
+    if len(c) > q or any(int(x.denominator) % q == 0 for x in c):
+        return False
+    a = modulo(c, q)
+    b = [i * x % q for i, x in enumerate(a)][1:]
+    while b:  # Euclid over GF(q); b keeps a nonzero leading coefficient
+        inv = pow(b[-1], -1, q)
+        while len(a) >= len(b):
+            f, k = a[-1] * inv % q, len(a) - len(b)
+            for i, y in enumerate(b):
+                a[k + i] = (a[k + i] - f * y) % q
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def squarefree_part(c: list) -> list:
+    """The monic square-free part c / gcd(c, c') of a nonconstant c."""
+    p = monic(c)
+    if _squarefree_mod(p):
+        return p
+    return monic(exact_div(p, gcd(p, derivative(p))))
+
+
 def squarefree_decomposition(c: list) -> list:
     """Yun's algorithm: returns [(factor_i, multiplicity_i)] with factors monic,
     squarefree, pairwise coprime and c = lc * prod factor_i^mult_i."""
@@ -405,6 +458,8 @@ def squarefree_decomposition(c: list) -> list:
     if len(c) == 1:
         return []
     p = monic(c)
+    if _squarefree_mod(p):
+        return [(p, 1)]
     dp = derivative(p)
     a = gcd(p, dp)
     out = []
@@ -425,7 +480,7 @@ def squarefree_decomposition(c: list) -> list:
 
 
 def is_squarefree(c: list) -> bool:
-    return deg(gcd(c, derivative(c))) == 0
+    return _squarefree_mod(monic(c)) or deg(gcd(c, derivative(c))) == 0
 
 
 def from_multipoly(p) -> list:

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from eigenpoints import unipoly as U
 from eigenpoints.rationals import rational
 
@@ -65,3 +67,20 @@ def test_numeric_fiber_beyond_double_range():
     b1 = [[rational(0), rational(-1)], [rational(1) - big * c, big]]
     b2 = [[rational(0), rational(-1)], [rational(1)]]
     assert abs(_numeric_fiber(b1, b2, x0) - x0) < 1e-12
+
+
+@pytest.mark.parametrize("e", [140, 300])
+def test_rur_point_raises_precision_where_the_denominator_is_small(e):
+    # roots 1 +- i eps with eps = 2**-e, where |p_sq'| = 2 eps; the numerator
+    # g = z p_sq'(z) mod p_sq makes x = g / p_sq' equal to z, which the first
+    # pass at 160 bits leaves wrong in the imaginary part; at e = 300 the
+    # denominator is below that pass's error, and one raise is not enough
+    from eigenpoints.groebner import LexBasis
+    from eigenpoints.solver import _rur_point
+
+    eps = rational(1, 2**e)
+    sq = [1 + eps * eps, rational(-2), rational(1)]
+    g = [-2 - 2 * eps * eps, rational(2)]
+    x, z = _rur_point(LexBasis(2, 2, [], sq, sq, {0: g}), [g], complex(1, 2.0**-e))
+    assert abs(x - z) <= 2.0**-52
+    assert abs(abs(x.imag) * 2.0**e - 1) < 1e-12

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import pytest
 
 from eigenpoints import groebner as GB
@@ -5,6 +7,10 @@ from eigenpoints import unipoly
 from eigenpoints.multipoly import Polynomial
 from eigenpoints.rationals import rational
 from eigenpoints.roots import univariate_roots
+from eigenpoints.solver import chart_system, solve_zero_dimensional
+from eigenpoints.tensors import fermat_tensor
+
+from conftest import random_tensor
 
 
 def _grid_system_sheared():
@@ -40,10 +46,10 @@ def test_fglm_shape_position():
     assert lex.in_shape_position()
     roots = [r for r, _ in univariate_roots(lex.eliminant)]
     assert sorted(str(r) for r in roots) == ["0", "1", "2", "3"]
-    # back-substitution recovers the grid
+    # the rational univariate representation x = g(z) / p_sq'(z) recovers the grid
     pts = set()
     for r in roots:
-        xv = unipoly.evaluate(lex.shape[0], r)
+        xv = unipoly.evaluate(lex.numerators[0], r) / unipoly.evaluate(lex.denominator, r)
         pts.add((str(xv), str(r - 2 * xv)))
     assert pts == {("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")}
 
@@ -171,3 +177,118 @@ def test_fglm_dimension_matches_sympy_oracle():
         assert count == len(qb)
     except ImportError:
         pytest.skip("sympy not available")
+
+
+def _chart_basis(d, seed):
+    return GB.buchberger(chart_system(random_tensor(3, d, seed), 0), 3)
+
+
+def _reduces_to_zero(p, gb):
+    prepared = [GB._prepared(g) for g in gb]
+    r, _ = GB.K.reduce_full(GB.poly_to_intdict(p), prepared)
+    return not r
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_fglm_rur_relations_lie_in_ideal(d):
+    # p(z) and every (p/p_sq)(z) (p_sq'(z) x_i - g_i(z)) reduce to zero against
+    # the grevlex basis, a check that does not go through fglm's own
+    gb = _chart_basis(d, 17)
+    lex = GB.fglm(gb, 3)
+    assert lex.in_shape_position()
+    assert lex.dimension == len(lex.eliminant) - 1 == len(GB.quotient_basis(gb, 3))
+    assert set(lex.numerators) == {0, 1}
+    z = lambda c: unipoly.to_multipoly(c, 3, 2)  # noqa: E731
+    cofactor = unipoly.exact_div(lex.eliminant, lex.squarefree)
+    relations = [z(lex.eliminant)] + [
+        z(unipoly.mul(cofactor, lex.denominator)) * Polynomial.variable(i, 3)
+        - z(unipoly.mul(cofactor, lex.numerators[i]))
+        for i in range(2)
+    ]
+    for p in relations:
+        assert _reduces_to_zero(p, gb)
+    # a numerator off by one in its constant term is not in the ideal
+    wrong = z(lex.denominator) * Polynomial.variable(0, 3) - z(
+        unipoly.add(lex.numerators[0], [rational(1)])
+    )
+    assert not _reduces_to_zero(wrong, gb)
+
+
+def test_fglm_fermat_chart_not_in_shape_position():
+    # unsheared, the Fermat (3,4) chart has points sharing their last coordinate
+    gb = GB.buchberger(chart_system(fermat_tensor(3, 4).to_partial(), 0), 3)
+    lex = GB.fglm(gb, 3)
+    assert not lex.in_shape_position()
+    assert lex.numerators == {} and lex.squarefree is None
+    assert 0 < len(lex.eliminant) - 1 < lex.dimension
+    assert lex.eliminant[-1] == 1
+    assert _reduces_to_zero(unipoly.to_multipoly(lex.eliminant, 3, 2), gb)
+
+
+def _smallest_prime_factor(n, skip=1):
+    """The least prime that divides n and not skip."""
+    f = 2
+    while n % f or skip % f == 0 or any(f % k == 0 for k in range(2, f)):
+        f += 1
+    return f
+
+
+def _krylov_determinant(gb):
+    # det [1, z, ..., z^(D-1)] of the quotient, by exact Gaussian elimination
+    monos = GB.quotient_basis(gb, 3)
+    mz = GB.multiplication_matrices(gb, monos, 3)[2]
+    v = [rational(int(m == (0, 0, 0))) for m in monos]
+    rows = []
+    for _ in monos:
+        rows.append(v)
+        v = [sum(mz[j][r] * v[j] for j in range(len(v))) for r in range(len(v))]
+    det = rational(1)
+    for c in range(len(rows)):
+        k = next(r for r in range(c, len(rows)) if rows[r][c])
+        rows[c], rows[k] = rows[k], rows[c]
+        det *= rows[c][c] if k == c else -rows[c][c]
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return det
+
+
+@pytest.mark.parametrize("fault", ["denominator", "rank"])
+def test_fglm_drops_unlucky_primes(monkeypatch, fault):
+    gb = _chart_basis(3, 17)
+    reference = GB.fglm(gb, 3)
+    monos = GB.quotient_basis(gb, 3)
+    dim = len(monos)
+    mats = GB.multiplication_matrices(gb, monos, 3)
+    start = monos.index((0, 0, 0))
+    mz = GB._IntColumns(mats[2], dim)
+    coords = GB._IntColumns([mats[i][start] for i in range(2)], dim)
+    denominators = mz.den * coords.den
+    if fault == "denominator":
+        bad = _smallest_prime_factor(denominators)
+        assert GB._image(mz, coords, start, bad) is None
+    else:
+        bad = _smallest_prime_factor(_krylov_determinant(gb).numerator, denominators)
+        assert len(GB._image(mz, coords, start, bad)[0]) - 1 < dim
+    primes = GB._primes
+    tried = []
+
+    def bad_first(bits):
+        for q in chain([bad], primes(bits)):
+            tried.append(q)
+            yield q
+
+    monkeypatch.setattr(GB, "_primes", bad_first)
+    lex = GB.fglm(gb, 3)
+    assert tried[0] == bad
+    assert lex.eliminant == reference.eliminant
+    assert lex.squarefree == reference.squarefree
+    assert lex.numerators == reference.numerators
+
+
+def test_non_reduced_point_through_squarefree_part():
+    # x^2 = y = z = 0: one point of length 2, so the eliminant is not square-free
+    x, y, z = (Polynomial.variable(i, 3) for i in range(3))
+    result = solve_zero_dimensional([x * x, y, z])
+    assert result.solutions == [((rational(0),) * 3, 2)]
+    assert any("not squarefree" in note for note in result.notes)

@@ -190,6 +190,18 @@ def test_order_two_classical_eigenvectors():
         assert sol.total_multiplicity == n + 1
 
 
+def test_simple_coordinate_point_counted_once():
+    # for this tensor the binary minor on the line x_0 = 0 vanishes to order
+    # 2 at (0:0:1), yet the minors' Jacobian has rank 2 there: a simple point
+    t = random_tensor(2, 7, 4)
+    e2 = ProjectivePoint([rational(0), rational(0), rational(1)])
+    for seed in range(2):
+        sol = eigenpoints(t, seed=seed)
+        assert sol.certified
+        assert len(sol.points) == sol.total_multiplicity == 43
+        assert [m for p, m in sol.points if p.same_point(e2)] == [1]
+
+
 def test_cone_tensor_reports_non_reduced():
     # a cubic cone in P^3: the vertex is a non-reduced eigenpoint and the
     # total drops below the generic length; reported, never repaired

@@ -71,3 +71,16 @@ def test_refined_values_cancellation():
     z, (val,) = U.refined_values(elim, [probe], 1.4142135)
     # probe(sqrt 2) vanishes; only cancellation-proof evaluation sees that
     assert abs(complex(val)) / 10**60 < 1e-30
+
+
+def test_squarefree_part_certified_modulo_a_prime():
+    q = U._SQUAREFREE_PRIME
+    assert U._squarefree_mod(P(-2, 1, 1))  # (t - 1)(t + 2)
+    assert U.squarefree_part(P(2, -3, 0, 1)) == P(-2, 1, 1)  # (t - 1)^2 (t + 2)
+    # t (t - q) is square-free over Q but not modulo q, and a denominator
+    # divisible by q leaves the prime unusable: both take the exact gcd
+    for c in (P(0, -q, 1), [rational(1, q), rational(0), rational(1)]):
+        assert not U._squarefree_mod(c)
+        assert U.is_squarefree(c)
+        assert U.squarefree_part(c) == c
+        assert U.squarefree_decomposition(c) == [(c, 1)]
