@@ -1,18 +1,14 @@
-"""Pure-Python hot kernels for the elimination engine.
+"""Hot kernels of the elimination engine, in pure Python.
 
 Polynomials here are dicts mapping exponent tuples to integer
 coefficients (content-free by convention); the monomial order is graded
-reverse lexicographic.  A compiled twin of this module may be built as
-``eigenpoints._kernel``; both expose the same functions and are selected
-at import time by ``eigenpoints.backend``.
+reverse lexicographic.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import gcd
-
-BACKEND_NAME = "python"
 
 
 def order_key(mono):

@@ -20,8 +20,8 @@ from math import isqrt, lcm
 
 import numpy as np
 
+from . import _kernel_py as K
 from . import unipoly
-from .backend import kernel as K
 from .multipoly import Polynomial
 from .rationals import ZERO, rational
 

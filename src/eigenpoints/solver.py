@@ -4,19 +4,19 @@ In the chart x_j = 1 the 2x2 minors collapse to the square system
 g_k - x_k g_j = 0 (k != j); the remaining eigenpoints lie on x_j = 0 and
 satisfy the eigenproblem of the restricted tensor together with the
 vanishing of the restricted g_j, so the solver recurses into one lower
-projective dimension.  Planar charts are eliminated with resultants,
-space charts with a grevlex basis followed by FGLM, both after a random
-separating shear with recorded seed.  Points with rational coordinates
-are produced exactly; the rest are polished floating complex points.
+projective dimension.  Every chart of two or more unknowns goes through
+one engine: a grevlex basis, then the rational univariate representation
+that ``groebner.fglm`` checks exactly over Q, after a random separating
+shear with recorded seed when the unsheared chart is not in shape
+position.  Points with rational coordinates are produced exactly; the
+rest are complex doubles read off that checked representation.
 """
 
 from __future__ import annotations
 
 import random
 
-import numpy as np
-
-from . import resultants, unipoly
+from . import unipoly
 from . import groebner as gb_engine
 from .counts import expected_count
 from .exact_linalg import ExactMatrix
@@ -124,35 +124,6 @@ def _poly_scale(p: Polynomial) -> float:
     return max(abs(float(c)) for c in p.terms.values())
 
 
-def _newton_polish(system, jacobian, coords, iterations=3):
-    v = np.array([complex(c) for c in coords], dtype=complex)
-    k = len(coords)
-    for _ in range(iterations):
-        f = np.array([p.evaluate(list(v)) for p in system], dtype=complex)
-        if max(abs(x) for x in f) < 1e-14:
-            break
-        jm = np.array(
-            [
-                [jacobian[i][j].evaluate(list(v)) for j in range(k)]
-                for i in range(len(system))
-            ],
-            dtype=complex,
-        )
-        try:
-            if jm.shape[0] == jm.shape[1]:
-                step = np.linalg.solve(jm, f)
-            else:
-                step = np.linalg.lstsq(jm, f, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            break
-        v = v - step
-    return [complex(x) for x in v]
-
-
-def _jacobian(system, k):
-    return [[p.partial_derivative(j) for j in range(k)] for p in system]
-
-
 # -- chart solving -----------------------------------------------------------
 
 
@@ -167,8 +138,9 @@ class ChartResult:
 
 
 def solve_zero_dimensional(system, rng=None, max_retries: int = SHEAR_RETRIES):
-    """All isolated solutions of a square polynomial system (1..3 unknowns).
+    """All solutions of a zero-dimensional polynomial system.
 
+    The system may have any number of unknowns and may be overdetermined.
     Returns a ChartResult; positive-dimensional systems are reported, not
     silently dropped.
     """
@@ -189,8 +161,6 @@ def solve_zero_dimensional(system, rng=None, max_retries: int = SHEAR_RETRIES):
             return ChartResult([])
         sols = [((r,), m) for r, m in univariate_roots(coeffs)]
         return ChartResult(sols)
-    if k == 2:
-        return _solve_planar(nonzero, rng, max_retries)
     return _solve_by_elimination(nonzero, k, rng, max_retries)
 
 
@@ -211,141 +181,12 @@ def _unshear(coords, coeffs):
     return tuple(rest) + (z,)
 
 
-def _solve_planar(polys, rng, max_retries):
-    """Bivariate resultant elimination with a separating shear on x."""
-    if len(polys) == 1:
-        p = polys[0]
-        return ChartResult(
-            [], positive_dimensional=p.degree() > 0, notes=["single planar equation"]
-        ) if p.degree() > 0 else ChartResult([])
-    p1, p2 = polys[0], polys[1]
-    last_result = None
-    for attempt in range(max_retries + 1):
-        s = 0 if attempt == 0 else rng.randint(1, 30) * rng.choice([1, -1])
-        sub = {0: Polynomial.variable(0, 2) - Polynomial.variable(1, 2) * rational(s)}
-        q1 = p1.substitute(sub) if s else p1
-        q2 = p2.substitute(sub) if s else p2
-        try:
-            elim = resultants.eliminate_y(q1, q2)
-        except resultants.EliminationDegenerate as exc:
-            return ChartResult([], positive_dimensional=True, notes=[str(exc)])
-        if not elim.eliminant:
-            return ChartResult([], positive_dimensional=True, notes=["vanishing resultant"])
-        if unipoly.deg(elim.eliminant) == 0:
-            sols = []
-        else:
-            squarefree = unipoly.is_squarefree(elim.eliminant)
-            sols = _planar_back_substitute(q1, q2, elim, s)
-            if sols is None:
-                last_result = None
-                continue
-        if unipoly.deg(elim.eliminant) == 0 or squarefree or attempt == max_retries:
-            extra = []
-            if unipoly.deg(elim.eliminant) > 0 and not squarefree:
-                extra.append("eliminant not squarefree after retries: multiplicity reported")
-            # check the extras against remaining equations of overdetermined systems
-            sols = _filter_extra_equations(sols, polys[2:])
-            return ChartResult(sols, notes=extra, shear=[s])
-        last_result = ChartResult(
-            _filter_extra_equations(sols, polys[2:]) if sols else [],
-            notes=["eliminant not squarefree"],
-            shear=[s],
-        )
-    return last_result or ChartResult([], notes=["planar elimination failed"])
-
-
-def _filter_extra_equations(sols, extra_polys, tol=RESIDUAL_TOL):
-    if not extra_polys:
-        return sols
-    kept = []
-    for coords, mult in sols:
-        ok = True
-        for p in extra_polys:
-            val = p.evaluate(list(coords))
-            if all(not isinstance(c, complex) for c in coords):
-                if val != 0:
-                    ok = False
-                    break
-            elif abs(complex(val)) > tol * _poly_scale(p):
-                ok = False
-                break
-        if ok:
-            kept.append((coords, mult))
-    return kept
-
-
-def _planar_unshear(x0, y0, s):
-    """Undo the shear X = x + s y on the first coordinate."""
-    if s == 0:
-        return (x0, y0)
-    if isinstance(x0, complex) or isinstance(y0, complex):
-        return (complex(x0) - s * complex(y0), y0)
-    return (x0 - rational(s) * y0, y0)
-
-
-def _planar_back_substitute(q1, q2, elim, s):
-    b1 = resultants.to_bivar(q1)
-    b2 = resultants.to_bivar(q2)
-    jac = _jacobian([q1, q2], 2)
-    sols = []
-    for x0, mult in univariate_roots(elim.eliminant):
-        if is_rational(x0):
-            u1 = resultants.specialize_x(b1, x0)
-            u2 = resultants.specialize_x(b2, x0)
-            g = unipoly.gcd(u1, u2)
-            if unipoly.deg(g) == 1:
-                y0 = -g[0] / g[1]
-                sols.append((_planar_unshear(x0, y0, s), mult))
-                continue
-            if unipoly.deg(g) <= 0:
-                return None  # spurious root: retry with another shear
-            return None  # several points share this abscissa: retry
-        else:
-            y0 = None
-            if elim.sub1 is not None:
-                u, v = elim.sub1
-                x_ref, (uv, vv) = unipoly.refined_values(elim.eliminant, [u, v], x0)
-                if uv != 0:
-                    cand = complex(-vv / uv)
-                    if abs(cand) < 1e12:
-                        y0 = cand
-                        x0 = complex(x_ref)
-            if y0 is None:
-                cand = _numeric_fiber(b1, b2, x0)
-                if cand is None:
-                    return None
-                y0 = cand
-            xy = _newton_polish([q1, q2], jac, (x0, y0))
-            sols.append((_planar_unshear(xy[0], xy[1], s), mult))
-    return sols
-
-
-def _numeric_fiber(b1, b2, x0):
-    u1 = [complex(unipoly.evaluate_fixed(col, x0)) if col else 0j for col in b1]
-    while u1 and abs(u1[-1]) < 1e-12:
-        u1.pop()
-    if len(u1) < 2:
-        return None
-    roots = np.roots(list(reversed(u1)))
-    best, best_val = None, None
-    for y in roots:
-        val = abs(complex(_bivar_eval(b2, x0, complex(y))))
-        if best_val is None or val < best_val:
-            best, best_val = complex(y), val
-    return best
-
-
-def _bivar_eval(b, x0, y0):
-    total = 0j
-    for j, col in enumerate(b):
-        if col:
-            total += complex(unipoly.evaluate_fixed(col, x0)) * y0**j
-    return total
-
-
 def _solve_by_elimination(polys, k, rng, max_retries):
-    """Shear to shape position, grevlex basis, FGLM, univariate roots."""
-    jac = _jacobian(polys, k)
+    """Shear to shape position, grevlex basis, FGLM, univariate roots.
+
+    When no shear tried puts the chart in shape position the chart gives
+    no points, and its note says so; the solve then stays uncertified.
+    """
     last_note = None
     for attempt in range(max_retries + 1):
         if attempt == 0:
@@ -365,7 +206,7 @@ def _solve_by_elimination(polys, k, rng, max_retries):
         if lex.dimension == 0:
             return ChartResult([], shear=coeffs)
         if lex.in_shape_position():
-            sols = _shape_back_substitute(polys, jac, lex, coeffs, k)
+            sols = _shape_back_substitute(lex, coeffs, k)
             notes = []
             if len(lex.squarefree) < len(lex.eliminant):
                 notes.append("eliminant not squarefree: multiplicity reported")
@@ -375,13 +216,11 @@ def _solve_by_elimination(polys, k, rng, max_retries):
             f" {lex.dimension}"
         )
     return ChartResult(
-        _eigenvector_fallback(polys, k, rng),
-        notes=[last_note or "no separating shear found", "numeric eigenvector fallback"],
-        shear=None,
+        [], notes=[f"no separating shear found in {max_retries + 1} attempts ({last_note})"]
     )
 
 
-def _shape_back_substitute(polys, jac, lex, coeffs, k):
+def _shape_back_substitute(lex, coeffs, k):
     """Chart points x_i = g_i(z) / p_sq'(z) at the roots z of the eliminant."""
     numerators = [lex.numerators[i] for i in range(k - 1)]
     sols = []
@@ -392,8 +231,6 @@ def _shape_back_substitute(polys, jac, lex, coeffs, k):
         else:
             coords = _rur_point(lex, numerators, z0)
         coords = _unshear(coords, coeffs) if any(coeffs) else coords
-        if not is_rational(z0):
-            coords = tuple(_newton_polish(polys, jac, coords))
         sols.append((coords, mult))
     return sols
 
@@ -415,47 +252,6 @@ def _rur_point(lex, numerators, z0):
         z_ref, values = unipoly.refined_values(lex.squarefree, polys, z0, bits)
     *tops, bottom = values
     return tuple(top / bottom for top in tops) + (complex(z_ref),)
-
-
-def _eigenvector_fallback(polys, k, rng):
-    """Numeric multiplication-operator eigenvectors; degenerate systems only."""
-    try:
-        basis = gb_engine.buchberger(polys, k)
-        monos = gb_engine.quotient_basis(basis, k)
-    except gb_engine.EliminationError:
-        return []
-    if not monos:
-        return []
-    mats = gb_engine.multiplication_matrices(basis, monos, k)
-    idx = {m: i for i, m in enumerate(monos)}
-    unit = idx.get(tuple([0] * k))
-    var_rows = []
-    for i in range(k):
-        mono = tuple(1 if j == i else 0 for j in range(k))
-        var_rows.append(idx.get(mono))
-    if unit is None or any(r is None for r in var_rows):
-        return []
-    coeffs = [rng.randint(1, 9) for _ in range(k)]
-    D = len(monos)
-    m_op = np.zeros((D, D), dtype=complex)
-    for i in range(k):
-        cols = mats[i]
-        m = np.array([[complex(cols[j][r]) for j in range(D)] for r in range(D)])
-        m_op += coeffs[i] * m
-    _, vecs = np.linalg.eig(m_op.T)
-    clusters = []
-    for pos in range(D):
-        w = vecs[:, pos]
-        if abs(w[unit]) < 1e-10:
-            continue
-        coords = tuple(complex(w[r] / w[unit]) for r in var_rows)
-        for j, (c, m) in enumerate(clusters):
-            if max(abs(a - b) for a, b in zip(coords, c)) < 1e-6:
-                clusters[j] = (c, m + 1)
-                break
-        else:
-            clusters.append((coords, 1))
-    return clusters
 
 
 # -- full eigenpoint enumeration --------------------------------------------

@@ -57,18 +57,6 @@ def test_fixed_complex_compares_with_zero():
     assert U.FixedComplex(0, -1, 200) != 0
 
 
-def test_numeric_fiber_beyond_double_range():
-    from eigenpoints.solver import _numeric_fiber
-
-    # q1 = (10**400 (x - c) + 1) y - x and q2 = y - x, with c the double x0:
-    # at x0 the fiber is y = x0, though q1 has coefficients past 1e308
-    x0 = 2**0.5
-    big, c = rational(10**400), rational(Fraction(x0))
-    b1 = [[rational(0), rational(-1)], [rational(1) - big * c, big]]
-    b2 = [[rational(0), rational(-1)], [rational(1)]]
-    assert abs(_numeric_fiber(b1, b2, x0) - x0) < 1e-12
-
-
 @pytest.mark.parametrize("e", [140, 300])
 def test_rur_point_raises_precision_where_the_denominator_is_small(e):
     # roots 1 +- i eps with eps = 2**-e, where |p_sq'| = 2 eps; the numerator

@@ -1,15 +1,8 @@
-"""Backend equivalence: the compiled kernel must match the pure-Python one."""
+"""The elimination engine's hot kernels."""
 
 import random
 
-import pytest
-
 from eigenpoints import _kernel_py as pure
-
-try:
-    from eigenpoints import _kernel as compiled
-except ImportError:
-    compiled = None
 
 
 def _random_poly(rng, nvars=3, terms=6, box=20):
@@ -58,34 +51,3 @@ def test_reduce_full_cancels_leads():
         for m in r:
             assert not any(pure.mono_divides(lm, m) for lm, _, _ in reducers)
 
-
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-def test_compiled_matches_pure():
-    rng = random.Random(1)
-    for _ in range(50):
-        f = _random_poly(rng)
-        reducers = []
-        for _ in range(3):
-            g = _random_poly(rng)
-            if g:
-                g = pure.strip_content(g)
-                lm, lc = pure.leading_term(g)
-                reducers.append((lm, lc, g))
-        if not f or not reducers:
-            continue
-        rp, mp = pure.reduce_full(dict(f), reducers)
-        rc, mc = compiled.reduce_full(dict(f), reducers)
-        # normal forms agree up to the common scale
-        assert pure.strip_content(rp) == compiled.strip_content(rc)
-        sp = pure.spoly(*reducers[0], *reducers[-1])
-        sc = compiled.spoly(*reducers[0], *reducers[-1])
-        assert sp == sc
-        assert pure.order_key((3, 1, 2)) == compiled.order_key((3, 1, 2))
-        assert compiled.mono_lcm((1, 2, 0), (0, 1, 5)) == (1, 2, 5)
-
-
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-def test_backend_selection():
-    from eigenpoints.backend import backend_name
-
-    assert backend_name() in ("c", "python")

@@ -39,6 +39,11 @@ def test_solve_unit_grid():
     got = {(str(a), str(b)) for (a, b), m in result.solutions}
     assert got == {("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")}
     assert all(m == 1 for _, m in result.solutions)
+    # an overdetermined planar system: xy = 0 removes the point (1, 1)
+    result = solve_zero_dimensional([x * x - x, y * y - y, x * y])
+    got = {(str(a), str(b)) for (a, b), m in result.solutions}
+    assert got == {("0", "0"), ("0", "1"), ("1", "0")}
+    assert all(m == 1 for _, m in result.solutions)
 
 
 def test_solve_multiplicity_two():
@@ -60,8 +65,29 @@ def test_solve_three_vars_grid():
 
 def test_positive_dimensional_reported():
     x = Polynomial.variable(0, 2)
+    y = Polynomial.variable(1, 2)
     result = solve_zero_dimensional([x, Polynomial.zero(2)])
     assert result.positive_dimensional
+    one, two = Polynomial.constant(2, 1), Polynomial.constant(2, 2)
+    circle = x * x + y * y - one
+    line = x - one
+    for system in ([circle], [line * (y - two), line * (x + y)]):
+        result = solve_zero_dimensional(system)
+        assert result.positive_dimensional
+        assert result.notes
+        assert result.solutions == []
+
+
+def test_no_separating_shear_leaves_the_solve_uncertified(monkeypatch):
+    from eigenpoints.groebner import LexBasis
+
+    monkeypatch.setattr(LexBasis, "in_shape_position", lambda self: False)
+    sol = eigenpoints(random_tensor(2, 3, seed=SEEDS[0]), seed=0)
+    assert not sol.certified
+    assert any("x0=1: no separating shear found" in d for d in sol.diagnostics)
+    # the chart x_0 = 1 gives no points, and this tensor has none on x_0 = 0
+    assert sol.points == []
+    assert "found total multiplicity 0, generic length is 7" in sol.diagnostics
 
 
 def test_fermat_golden_15(fermat_solution):
