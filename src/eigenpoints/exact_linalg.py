@@ -1,14 +1,16 @@
-"""Exact rational matrices with fraction-free (Bareiss) elimination.
+"""Exact rational matrices.
 
-Pivoting is deterministic: columns left to right, first row with a nonzero
-entry.  Rank and kernel are therefore reproducible, and exact: no
-thresholds anywhere.
+Rank and kernel come from ``modular.kernel``: the reduced-echelon kernel
+basis, lifted from word-size primes and checked exactly over Q.  The basis
+is canonical and the rank is exact: no thresholds anywhere.
 """
 
 from __future__ import annotations
 
 from math import gcd as int_gcd
+from math import lcm
 
+from . import modular
 from .rationals import ONE, ZERO, rational
 
 
@@ -43,58 +45,17 @@ class ExactMatrix:
         return [sum((row[j] * v[j] for j in range(self.cols)), ZERO) for row in self.entries]
 
     def _integer_rows(self):
-        """Clear denominators rowwise; elimination results are unaffected."""
+        """The rows with denominators cleared and content removed; the kernel is unaffected."""
         out = []
         for row in self.entries:
-            den = 1
-            for x in row:
-                d = x.denominator
-                den = den * d // int_gcd(den, d)
-            ints = [int(x * den) for x in row]
-            g = 0
-            for v in ints:
-                g = int_gcd(g, abs(v))
-            if g > 1:
-                ints = [v // g for v in ints]
-            out.append(ints)
+            den = lcm(*(int(x.denominator) for x in row))
+            ints = [int(x.numerator) * (den // int(x.denominator)) for x in row]
+            g = int_gcd(*ints) or 1
+            out.append([v // g for v in ints])
         return out
 
-    def _echelon(self):
-        """Fraction-free row echelon form.
-
-        Returns (integer echelon rows, pivot column list).
-        """
-        m = self._integer_rows()
-        rows, cols = self.rows, self.cols
-        piv_cols = []
-        piv_r = 0
-        prev_pivot = 1
-        for c in range(cols):
-            sel = None
-            for r in range(piv_r, rows):
-                if m[r][c] != 0:
-                    sel = r
-                    break
-            if sel is None:
-                continue
-            if sel != piv_r:
-                m[piv_r], m[sel] = m[sel], m[piv_r]
-            pivot = m[piv_r][c]
-            for r in range(piv_r + 1, rows):
-                row_r = m[r]
-                row_p = m[piv_r]
-                factor = row_r[c]
-                for j in range(c, cols):
-                    row_r[j] = (pivot * row_r[j] - factor * row_p[j]) // prev_pivot
-            prev_pivot = pivot
-            piv_cols.append(c)
-            piv_r += 1
-            if piv_r == rows:
-                break
-        return m[: len(piv_cols)], piv_cols
-
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return self.cols - len(self.right_kernel())
 
     def right_kernel(self):
         """Basis of {v : A v = 0}, one primitive integer vector per free column.
@@ -102,64 +63,8 @@ class ExactMatrix:
         The basis is canonical: vector k has entry 1 (before scaling) at the
         k-th free column and zeros at the other free columns.
         """
-        ech, piv_cols = self._echelon()
-        piv_set = set(piv_cols)
-        free_cols = [c for c in range(self.cols) if c not in piv_set]
-        basis = []
-        for f in free_cols:
-            v = [ZERO] * self.cols
-            v[f] = ONE
-            # back-substitute the pivot entries
-            for r in range(len(piv_cols) - 1, -1, -1):
-                c = piv_cols[r]
-                s = ZERO
-                row = ech[r]
-                for j in range(c + 1, self.cols):
-                    if v[j] != 0 and row[j] != 0:
-                        s = s + row[j] * v[j]
-                v[c] = -s / row[c]
-            basis.append(_primitive(v))
-        return basis
-
-    def solve(self, b):
-        """One exact solution of A x = b, or None if inconsistent."""
-        aug = ExactMatrix([row + [bv] for row, bv in zip(self.entries, b)])
-        ech, piv_cols = aug._echelon()
-        if piv_cols and piv_cols[-1] == self.cols:
-            return None
-        x = [ZERO] * self.cols
-        for r in range(len(piv_cols) - 1, -1, -1):
-            c = piv_cols[r]
-            row = ech[r]
-            s = rational(row[self.cols])
-            for j in range(c + 1, self.cols):
-                if x[j] != 0 and row[j] != 0:
-                    s = s - row[j] * x[j]
-            x[c] = s / row[c]
-        return x
+        return [[rational(x) for x in v] for v in modular.kernel(self._integer_rows(), self.cols)]
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
 
-
-def _primitive(v):
-    """Scale a rational vector to coprime integers, first nonzero positive."""
-    den = 1
-    for x in v:
-        d = x.denominator
-        den = den * d // int_gcd(den, d)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for u in ints:
-        g = int_gcd(g, abs(u))
-    if g == 0:
-        return [ZERO for _ in v]
-    first = next(u for u in ints if u != 0)
-    if first < 0:
-        g = -g
-    return [rational(u, g) for u in ints]
-
-
-def kernel(matrix: ExactMatrix):
-    """Right kernel basis; module-level alias matching the operation name."""
-    return matrix.right_kernel()

@@ -7,8 +7,8 @@ and the multiplication matrices are read off, and ``fglm`` finds the
 eliminant p of the last variable z.  When the ideal is in shape position it
 also finds the rational univariate representation x_i = g_i(z) / p_sq'(z),
 p_sq the square-free part of p.  Both come from Krylov sequences modulo
-word-size primes, lifted to Q and checked there exactly before they are
-returned.
+word-size primes, lifted to Q with the primes and the reconstruction of
+``modular`` and checked there exactly before they are returned.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from itertools import chain, islice
 from math import gcd as int_gcd
-from math import isqrt, lcm
+from math import lcm
 
 import numpy as np
 
 from . import _kernel_py as K
-from . import unipoly
+from . import modular, unipoly
 from .multipoly import Polynomial
 from .rationals import ZERO, rational
 
@@ -346,71 +346,6 @@ class _Krylov:
         return out, den * cden
 
 
-# Primes below 2**bits, with bits chosen so that D q**2 < 2**62: the modular
-# products and eliminations of an image never leave int64.
-def _prime_bits(dim: int) -> int:
-    return (62 - dim.bit_length()) // 2
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with bases 2, 7, 61: deterministic below 4,759,123,141."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 7, 61):
-        if a % n == 0:
-            continue
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes(bits: int):
-    """The primes below 2**bits, largest first: the fixed list fglm works modulo."""
-    n = (1 << bits) - 1
-    while n > 2:
-        if _is_prime(n):
-            yield n
-        n -= 2
-
-
-# Primes fglm may try before it gives up.  The primes have 27 to 29 bits up
-# to D = 255, and the lifts are tried at moduli growing by 9/8, so every
-# coefficient of p and of the g_i whose numerator and denominator both stay
-# below about 6,000 bits is lifted within the budget; an input needing more
-# raises EliminationError.  The largest counts met: 85 primes (coefficients
-# of 2,324 bits, numerator and denominator together) when enlarging the
-# reconstruction point sets, 12 on (3,4) charts, 35 on a (3,6) chart.
-_PRIME_BUDGET = 512
-
-
-def _rref_mod(a, q: int) -> list:
-    """Row-reduce the int64 array a modulo the prime q in place; the pivot columns."""
-    pivots = []
-    for c in range(a.shape[1]):
-        r = len(pivots)
-        if r == a.shape[0]:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if not nz.size:
-            continue
-        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, q) % q
-        f = a[:, c].copy()
-        f[r] = 0
-        a -= np.outer(f, a[r])
-        a %= q
-        pivots.append(c)
-    return pivots
-
-
 def _image(mz: _IntColumns, coords: _IntColumns, start: int, q: int):
     """The Krylov data of the quotient modulo the prime q.
 
@@ -429,59 +364,11 @@ def _image(mz: _IntColumns, coords: _IntColumns, start: int, q: int):
     a[:, dim + 1 :] = coords.modulo(q)
     # z^r is the first Krylov vector that depends on the earlier ones, and
     # every later one depends too, so the Krylov pivots are 0 .. r-1
-    r = sum(1 for c in _rref_mod(a, q) if c <= dim)
+    r = sum(1 for c in modular._rref_mod(a, q) if c <= dim)
     p = [int(-x) % q for x in a[:r, r]] + [1]
     if r < dim:
         return p, None
     return p, [[int(x) for x in a[:, j]] for j in range(dim + 1, a.shape[1])]
-
-
-def _rational(a: int, m: int):
-    """n/d with n = a d modulo m and |n|, d <= sqrt(m/2), or None."""
-    bound = isqrt(m >> 1)
-    r0, r1, s0, s1 = m, a % m, 0, 1
-    while r1 > bound:
-        k = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
-    if s1 == 0 or abs(s1) > bound or int_gcd(r1, s1) != 1:
-        return None
-    return rational(r1, s1)
-
-
-class _Lift:
-    """Chinese remaindering and rational reconstruction of a list of rationals.
-
-    ``add`` folds in the residues modulo one more prime and returns the
-    reconstruction made before them once it predicts them, else None.
-    """
-
-    def __init__(self):
-        self.modulus = 1
-        self.residues = None
-        self.guess = None
-        self.attempt_bits = 0
-
-    def add(self, q: int, values: list):
-        guess, self.guess = self.guess, None
-        if self.residues is None:
-            self.residues, self.modulus = list(values), q
-        else:
-            m, inv = self.modulus, pow(self.modulus, -1, q)
-            self.residues = [x + m * ((v - x) * inv % q) for x, v in zip(self.residues, values)]
-            self.modulus = m * q
-        if guess is not None and all(
-            (int(g.numerator) - v * int(g.denominator)) % q == 0 for g, v in zip(guess, values)
-        ):
-            return guess
-        # reconstruct only at moduli 9/8 as long as the last try, so that the
-        # tries that fail cost a bounded multiple of the one that succeeds
-        bits = self.modulus.bit_length()
-        if bits >= self.attempt_bits:
-            self.attempt_bits = bits * 9 // 8
-            lifted = [_rational(x, self.modulus) for x in self.residues]
-            if None not in lifted:
-                self.guess = lifted
-        return None
 
 
 def _rur_numerator(h: list, dsq: list, sq: list, q: int) -> list:
@@ -510,8 +397,8 @@ def fglm(gb: list, nvars: int) -> LexBasis:
     position the lifted g_i are then accepted only when
     (p/p_sq)(z) (x_i p_sq'(z) - g_i(z)) 1 = 0, which makes x_i = g_i/p_sq' at
     every root.  A lift that fails its check waits for more primes; past
-    ``_PRIME_BUDGET`` primes EliminationError is raised, so every returned
-    basis has been checked exactly.
+    ``modular._PRIME_BUDGET`` primes EliminationError is raised, so every
+    returned basis has been checked exactly.
     """
     basis_monos = quotient_basis(gb, nvars)
     dim = len(basis_monos)
@@ -524,16 +411,16 @@ def fglm(gb: list, nvars: int) -> LexBasis:
     mz = _IntColumns(mats[last], dim)
     coords = _IntColumns([mats[i][start] for i in range(last)], dim)
     krylov = _Krylov(mz, start)
-    primes = islice(_primes(_prime_bits(dim)), _PRIME_BUDGET)
+    primes = islice(modular._primes(modular._prime_bits(dim)), modular._PRIME_BUDGET)
 
     # the eliminant, lifted over the primes of the highest Krylov rank seen
-    images, lift, rank = [], _Lift(), 0
+    images, lift, rank = [], modular._Lift(), 0
     for q in primes:
         image = _image(mz, coords, start, q)
         if image is None or len(image[0]) - 1 < rank:
             continue
         if len(image[0]) - 1 > rank:
-            images, lift, rank = [], _Lift(), len(image[0]) - 1
+            images, lift, rank = [], modular._Lift(), len(image[0]) - 1
         images.append((q, image[1]))
         p = lift.add(q, image[0])
         if p is not None and not any(krylov.combine(p)[0]):
@@ -555,7 +442,7 @@ def fglm(gb: list, nvars: int) -> LexBasis:
         for image in [_image(mz, coords, start, q)]
         if image is not None and image[1] is not None
     )
-    lift = _Lift()
+    lift = modular._Lift()
     n = len(sq) - 1
     for q, shape in chain(images, fresh):
         # p is integral at every prime of full rank, and so is its monic factor p_sq

@@ -341,38 +341,29 @@ def _mono_value_c(coords, mono):
 
 
 def _span_intersection_dim(span_a, span_b) -> int:
-    """dim(span_a intersect span_b) = dim A + dim B - dim(A + B)."""
+    """dim(span_a intersect span_b) = |A| + |B| - dim(A + B), for independent A and B."""
     if not span_a or not span_b:
         return 0
-    stacked = ExactMatrix(list(span_a) + list(span_b))
-    dim_sum = stacked.transpose().rank()
-    ra = ExactMatrix(list(span_a)).transpose().rank()
-    rb = ExactMatrix(list(span_b)).transpose().rank()
-    return ra + rb - dim_sum
+    return len(span_a) + len(span_b) - ExactMatrix(list(span_a) + list(span_b)).transpose().rank()
 
 
 def in_kernel_span(report: KernelReport, tensor: PartialSymTensor) -> bool:
     """Exact membership of a tensor in the kernel span."""
     if not report.kernel_vectors:
         return False
-    vec = report.basis.tensor_to_vector(tensor)
-    cols = ExactMatrix(list(report.kernel_vectors)).transpose()
-    return cols.solve(vec) is not None
+    rows = list(report.kernel_vectors) + [report.basis.tensor_to_vector(tensor)]
+    return ExactMatrix(rows).transpose().rank() == len(report.kernel_vectors)
 
 
 def _complement_vectors(report: KernelReport):
     """Kernel basis vectors extending the degenerate subspace."""
-    n, d = report.basis.n, report.basis.d
-    degenerate = degenerate_subspace(n, d)
-    rows = [list(v) for v in degenerate]
-    base_rank = ExactMatrix(rows).transpose().rank() if rows else 0
+    rows = degenerate_subspace(report.basis.n, report.basis.d)
     complement = []
     for v in report.kernel_vectors:
         trial = rows + [list(v)]
-        r = ExactMatrix(trial).transpose().rank()
-        if r > base_rank:
+        # rows stay independent, so v extends them exactly when trial is independent
+        if ExactMatrix(trial).transpose().rank() == len(trial):
             rows = trial
-            base_rank = r
             complement.append(v)
     return complement
 
@@ -402,8 +393,9 @@ def is_eigenscheme(
 
     YES requires a verified witness: a random kernel element beyond the
     degenerate subspace whose forward solve certifies and reproduces the
-    input exactly.  NO is returned when the kernel is degenerate-only.
-    Everything else is UNDECIDED, with diagnostics.
+    input exactly.  NO is returned when the exact kernel is degenerate-only;
+    on floating input the kernel dimension is a numeric rank, which proves
+    no NO.  Everything else is UNDECIDED, with diagnostics.
     """
     pts = _point_list(points, n)
     report = eigenscheme_kernel(pts, n, d, symmetric)
@@ -422,27 +414,54 @@ def is_eigenscheme(
             f"cardinality {len(pts)} differs from the generic length {expected}"
         )
     if report.numeric:
-        if report.rationalized:
+        out["diagnostics"].append(
+            "floating input: kernel rationalized from the numeric echelon"
+            if report.rationalized
+            else "floating input: numeric kernel, no certification"
+        )
+    if report.contains_proper_tensor:
+        if len(pts) != expected or not report.exact_vectors_available:
+            return out
+        complement = _complement_vectors(report)
+    else:
+        complement = []
+    if not complement:
+        if report.numeric:
             out["diagnostics"].append(
-                "floating input: kernel rationalized from the numeric echelon"
+                "no NO decision: the kernel dimension is a numeric (SVD) rank, not a proof"
             )
         else:
-            out["diagnostics"].append("floating input: numeric kernel, no certification")
-            if not report.contains_proper_tensor:
-                out["decision"] = "NO"
-            return out
-    if not report.contains_proper_tensor:
-        out["decision"] = "NO"
-        return out
-    if len(pts) != expected:
-        return out
-    complement = _complement_vectors(report)
-    if not complement:
-        out["decision"] = "NO"
+            out["decision"] = "NO"
         return out
     target = PointSet(n)
     for p in pts:
         target.add(p)
+    witness, solution = _draw_witness(
+        report,
+        complement,
+        seed,
+        retries,
+        lambda solution: solution.certified and solution.point_set().same_set(target),
+        out,
+    )
+    if witness is None:
+        out["diagnostics"].append("no draw certified and reproduced the input")
+        return out
+    out["decision"] = "YES"
+    out["witness"] = witness
+    out["solution"] = solution
+    return out
+
+
+def _draw_witness(report: KernelReport, complement, seed: int, retries: int, accept, out: dict):
+    """Forward-solve random kernel elements beyond the degenerate subspace.
+
+    Draw k combines the complement vectors with coefficients from the k-th
+    seed of ``random.Random(seed)``, which ``out["seeds_used"]`` records and
+    the solve uses too.  Returns the first (witness, solution) whose
+    solution ``accept`` takes, or (None, None) after ``retries`` draws; each
+    rejected solve adds a diagnostic to ``out``.
+    """
     rng = random.Random(seed)
     for attempt in range(retries):
         draw_seed = rng.randint(0, 2**32 - 1)
@@ -461,17 +480,13 @@ def is_eigenscheme(
         if witness.is_zero():
             continue
         solution = eigenpoints(witness, seed=draw_seed)
-        if solution.certified and solution.point_set().same_set(target):
-            out["decision"] = "YES"
-            out["witness"] = witness
-            out["solution"] = solution
-            return out
+        if accept(solution):
+            return witness, solution
         out["diagnostics"].append(
             f"draw {attempt}: certified={solution.certified},"
             f" count={solution.total_multiplicity}"
         )
-    out["diagnostics"].append("no draw certified and reproduced the input")
-    return out
+    return None, None
 
 
 def enlarge(points, d: int, seed: int = 0, retries: int = 8) -> dict:
@@ -504,34 +519,18 @@ def enlarge(points, d: int, seed: int = 0, retries: int = 8) -> dict:
     w_set = PointSet(n)
     for p in pts:
         w_set.add(p)
-    rng = random.Random(seed)
-    for attempt in range(retries):
-        draw_seed = rng.randint(0, 2**32 - 1)
-        out["seeds_used"].append(draw_seed)
-        draw_rng = random.Random(draw_seed)
-        vec = [ZERO] * report.basis.dimension
-        for v in complement:
-            c = rational(draw_rng.randint(-5, 5))
-            if c == 0:
-                c = rational(1)
-            vec = [a + c * b for a, b in zip(vec, v)]
-        witness = report.basis.vector_to_tensor(vec)
-        if witness.is_zero():
-            continue
-        solution = eigenpoints(witness, seed=draw_seed)
-        if (
-            solution.certified
-            and solution.total_multiplicity == expected
-            and w_set.is_subset_of(solution.point_set())
-        ):
-            out["tensor"] = witness
-            out["solution"] = solution
-            return out
-        out["diagnostics"].append(
-            f"draw {attempt}: certified={solution.certified},"
-            f" count={solution.total_multiplicity}"
-        )
-    out["diagnostics"].append("all retries failed to certify an enlargement")
+    out["tensor"], out["solution"] = _draw_witness(
+        report,
+        complement,
+        seed,
+        retries,
+        lambda solution: solution.certified
+        and solution.total_multiplicity == expected
+        and w_set.is_subset_of(solution.point_set()),
+        out,
+    )
+    if out["tensor"] is None:
+        out["diagnostics"].append("all retries failed to certify an enlargement")
     return out
 
 

@@ -231,18 +231,6 @@ class FixedComplex:
         return f"FixedComplex({complex(self)!r})"
 
 
-def evaluate_fixed(c: list, z: complex, bits: int = 64) -> FixedComplex:
-    """c(z) for exact coefficients at the complex point z, within 2**-bits.
-
-    Horner runs in fixed point (see ``_horner``), so neither cancellation
-    nor coefficients outside the double range spoil the value.
-    """
-    z = complex(z)
-    s = bits + _horner_loss(len(c), _magnitude_bits(z))
-    (vr, vi), _ = _horner(_to_fixed(c, s), *_fixed_point(z, s), s)
-    return FixedComplex(vr, vi, s)
-
-
 def _newton(elim: list, zr: int, zi: int, s: int, loss: int) -> tuple:
     """Fixed-point Newton on ``elim`` (integers at scale 2**s) from zr + i zi.
 
@@ -373,19 +361,15 @@ def monic(c: list) -> list:
 
 
 def gcd(a: list, b: list) -> list:
-    """Monic gcd via a primitive pseudo-remainder sequence (no fraction blowup)."""
+    """Monic gcd via a primitive pseudo-remainder sequence over the integers."""
     _, p = content_primitive(a)
     _, q = content_primitive(b)
-    if not p:
-        return monic([rational(x) for x in q])
-    if not q:
-        return monic([rational(x) for x in p])
     if len(p) < len(q):
         p, q = q, p
     while q:
         r = _pseudo_rem_int(p, q)
-        _, r = content_primitive([rational(x) for x in r])
-        p, q = q, r
+        g = int_gcd(*r) or 1
+        p, q = q, [x // g for x in r]
     return monic([rational(x) for x in p])
 
 

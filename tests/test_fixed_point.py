@@ -44,13 +44,6 @@ def test_refined_values_small_derivative():
     assert abs(complex(val)) < 1e-45
 
 
-def test_evaluate_fixed_beyond_double_range():
-    # 10**400 (x - 1) + 1 is 1 at x = 1; double Horner overflows on it
-    big = rational(10**400)
-    p = [rational(1) - big, big]
-    assert abs(complex(U.evaluate_fixed(p, 1.0)) - 1) < 1e-15
-
-
 def test_fixed_complex_compares_with_zero():
     assert U.FixedComplex(0, 0, 10) == 0
     assert U.FixedComplex(1, 0, 200) != 0

@@ -3,6 +3,7 @@ from itertools import chain
 import pytest
 
 from eigenpoints import groebner as GB
+from eigenpoints import modular
 from eigenpoints import unipoly
 from eigenpoints.multipoly import Polynomial
 from eigenpoints.rationals import rational
@@ -270,7 +271,7 @@ def test_fglm_drops_unlucky_primes(monkeypatch, fault):
     else:
         bad = _smallest_prime_factor(_krylov_determinant(gb).numerator, denominators)
         assert len(GB._image(mz, coords, start, bad)[0]) - 1 < dim
-    primes = GB._primes
+    primes = modular._primes
     tried = []
 
     def bad_first(bits):
@@ -278,7 +279,7 @@ def test_fglm_drops_unlucky_primes(monkeypatch, fault):
             tried.append(q)
             yield q
 
-    monkeypatch.setattr(GB, "_primes", bad_first)
+    monkeypatch.setattr(modular, "_primes", bad_first)
     lex = GB.fglm(gb, 3)
     assert tried[0] == bad
     assert lex.eliminant == reference.eliminant

@@ -170,6 +170,21 @@ def test_symmetric_round_trip_floating_points():
             assert w.slices[i].partial_derivative(j) == w.slices[j].partial_derivative(i)
 
 
+def test_floating_input_proves_no_no():
+    # moving one floating coordinate by 1e-3 leaves a degenerate-only kernel
+    # by an SVD rank at 1e-8; that rank proves nothing, so no NO
+    pts = list(eigenpoints(random_tensor(3, 3, SEEDS[0]), seed=0).point_set())
+    assert len(pts) == 15 and not pts[0].exact
+    coords = list(pts[0].coords)
+    coords[0] += 1e-3
+    pts[0] = ProjectivePoint(coords)
+    dec = R.is_eigenscheme(pts, 3, 3)
+    assert not dec["kernel"]["containsProperTensor"]
+    assert dec["kernel"]["numeric"]
+    assert dec["decision"] == "UNDECIDED"
+    assert any("numeric (SVD) rank" in diag for diag in dec["diagnostics"])
+
+
 def test_round_trip_seeded():
     for n, d, seed in [(3, 3, SEEDS[0]), (2, 3, SEEDS[1]), (2, 4, SEEDS[2]), (2, 5, SEEDS[3])]:
         t = random_tensor(n, d, seed)
