@@ -2,7 +2,10 @@
 
 Rank and kernel come from ``modular.kernel``: the reduced-echelon kernel
 basis, lifted from word-size primes and checked exactly over Q.  The basis
-is canonical and the rank is exact: no thresholds anywhere.
+is canonical and the rank is exact: no thresholds anywhere.  Entries may be
+ints or rationals; int entries stay ints, so rows of ints go straight to
+``modular.kernel`` with only their content removed, and only rows holding
+rationals have denominators to clear.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        self.entries = [[x if not isinstance(x, int) else rational(x) for x in row] for row in entries]
+        self.entries = [list(row) for row in entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
         if any(len(r) != self.cols for r in self.entries):
@@ -48,10 +51,11 @@ class ExactMatrix:
         """The rows with denominators cleared and content removed; the kernel is unaffected."""
         out = []
         for row in self.entries:
-            den = lcm(*(int(x.denominator) for x in row))
-            ints = [int(x.numerator) * (den // int(x.denominator)) for x in row]
-            g = int_gcd(*ints) or 1
-            out.append([v // g for v in ints])
+            if not all(type(x) is int for x in row):
+                den = lcm(*(int(x.denominator) for x in row))
+                row = [int(x.numerator) * (den // int(x.denominator)) for x in row]
+            g = int_gcd(*row)
+            out.append([v // g for v in row] if g > 1 else row)
         return out
 
     def rank(self) -> int:

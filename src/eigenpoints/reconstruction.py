@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
 from .configuration import subset_on_hypersurface
 from .counts import expected_count
 from .exact_linalg import ExactMatrix
+from .groebner import EliminationError
 from .multipoly import Polynomial
 from .points import PointSet
 from .rationals import ZERO, rational
@@ -125,38 +126,48 @@ class KernelReport:
 
 
 def containment_system(points, n: int, d: int) -> ExactMatrix:
-    """One row per (point, column pair): the minor evaluated at the point.
+    """The conditions that the minors vanish at the points, as an int matrix.
 
     The kernel of this matrix is the space of tensors whose eigenscheme
     contains every given point.  Exact rational coordinates required.
+
+    A point x with first nonzero coordinate x_k gives the n rows
+    x_k g_j(x) - x_j g_k(x), j != k, linear in the coefficients of the
+    slices g.  They span every minor x_i g_j - x_j g_i at x, since
+
+        x_k (x_i g_j - x_j g_i) = x_i (x_k g_j - x_j g_k) - x_j (x_k g_i - x_i g_k)
+
+    and x_k != 0.  Each point is first scaled by the lcm of its
+    denominators, lambda: x_k g_j(x) - x_j g_k(x) is homogeneous of degree
+    d in x, so every row of the point is multiplied by lambda^d != 0 and
+    the kernel does not change.  The rows are then built in ints.
     """
     basis = TensorSpaceBasis(n, d)
+    block = basis.block
     rows = []
     for p in _point_list(points, n):
         if not p.exact:
             raise ValueError("containment_system needs exact rational points")
-        coords = list(p.coords)
-        mono_vals = [_mono_value(coords, m) for m in basis.monomials]
-        for i, j in combinations(range(n + 1), 2):
-            row = [ZERO] * basis.dimension
-            xi, xj = coords[i], coords[j]
-            for k in range(basis.block):
-                mv = mono_vals[k]
-                if mv == 0:
-                    continue
-                if xi != 0:
-                    row[basis.index(j, basis.monomials[k])] = xi * mv
-                if xj != 0:
-                    row[basis.index(i, basis.monomials[k])] = -xj * mv
+        scale = lcm(*(int(c.denominator) for c in p.coords))
+        x = [int(c.numerator) * (scale // int(c.denominator)) for c in p.coords]
+        k = next(i for i, c in enumerate(x) if c)
+        mono_vals = [_mono_value(x, m) for m in basis.monomials]
+        lead = [x[k] * v for v in mono_vals]
+        for j in range(n + 1):
+            if j == k:
+                continue
+            row = [0] * basis.dimension
+            row[j * block : (j + 1) * block] = lead
+            row[k * block : (k + 1) * block] = [-x[j] * v for v in mono_vals]
             rows.append(row)
     if not rows:
         # no conditions: the kernel is all of tensor space
-        rows = [[ZERO] * basis.dimension]
+        rows = [[0] * basis.dimension]
     return ExactMatrix(rows)
 
 
 def _mono_value(coords, mono):
-    val = rational(1)
+    val = 1
     for c, e in zip(coords, mono):
         if e:
             val = val * c**e
@@ -177,10 +188,10 @@ def degenerate_subspace(n: int, d: int):
     out = []
     nv = n + 1
     for h_mono in _monomials(nv, d - 2):
-        v = [ZERO] * basis.dimension
+        v = [0] * basis.dimension
         for i in range(nv):
             mono = tuple(e + (1 if k == i else 0) for k, e in enumerate(h_mono))
-            v[basis.index(i, mono)] = rational(1)
+            v[basis.index(i, mono)] = 1
         out.append(v)
     return out
 
@@ -192,11 +203,11 @@ def _symmetry_rows(basis: TensorSpaceBasis):
     rows = []
     for i, j in combinations(range(nv), 2):
         for mu in _monomials(nv, d - 2):
-            row = [ZERO] * basis.dimension
+            row = [0] * basis.dimension
             m_i = tuple(e + (1 if k == j else 0) for k, e in enumerate(mu))
             m_j = tuple(e + (1 if k == i else 0) for k, e in enumerate(mu))
-            row[basis.index(i, m_i)] = rational(mu[j] + 1)
-            row[basis.index(j, m_j)] = row[basis.index(j, m_j)] - rational(mu[i] + 1)
+            row[basis.index(i, m_i)] = mu[j] + 1
+            row[basis.index(j, m_j)] -= mu[i] + 1
             rows.append(row)
     return rows
 
@@ -460,7 +471,9 @@ def _draw_witness(report: KernelReport, complement, seed: int, retries: int, acc
     seed of ``random.Random(seed)``, which ``out["seeds_used"]`` records and
     the solve uses too.  Returns the first (witness, solution) whose
     solution ``accept`` takes, or (None, None) after ``retries`` draws; each
-    rejected solve adds a diagnostic to ``out``.
+    rejected solve adds a diagnostic to ``out``.  A solve that raises
+    EliminationError (no checked elimination within the prime budget) is a
+    rejected draw, not a failure of the decision.
     """
     rng = random.Random(seed)
     for attempt in range(retries):
@@ -479,7 +492,11 @@ def _draw_witness(report: KernelReport, complement, seed: int, retries: int, acc
             continue
         if witness.is_zero():
             continue
-        solution = eigenpoints(witness, seed=draw_seed)
+        try:
+            solution = eigenpoints(witness, seed=draw_seed)
+        except EliminationError as exc:
+            out["diagnostics"].append(f"draw {attempt}: elimination error: {exc}")
+            continue
         if accept(solution):
             return witness, solution
         out["diagnostics"].append(

@@ -124,6 +124,19 @@ def _poly_scale(p: Polynomial) -> float:
     return max(abs(float(c)) for c in p.terms.values())
 
 
+def _complex_residuals(gens):
+    """Per generator: a copy with complex coefficients, and its ``_poly_scale``.
+
+    Made once per generator, for evaluation at many floating points.  The
+    copy's values are bit for bit the generator's: ``Fraction * complex``
+    is ``complex(Fraction) * complex``.
+    """
+    return [
+        (Polynomial(g.nvars, {m: complex(c) for m, c in g.terms.items()}), _poly_scale(g))
+        for g in gens
+    ]
+
+
 # -- chart solving -----------------------------------------------------------
 
 
@@ -461,6 +474,7 @@ def _passes_filters(coords, filters, tol=RESIDUAL_TOL):
 
 def _check_residuals(points, gens, diagnostics) -> bool:
     ok = True
+    residuals = _complex_residuals(gens)
     for p, _ in points:
         if p.exact:
             for g in gens:
@@ -469,10 +483,10 @@ def _check_residuals(points, gens, diagnostics) -> bool:
                     ok = False
                     break
         else:
-            coords = list(p.as_complex())
-            for g in gens:
+            coords = p.as_complex()
+            for g, scale in residuals:
                 val = abs(complex(g.evaluate(coords)))
-                if val > RESIDUAL_TOL * _poly_scale(g):
+                if val > RESIDUAL_TOL * scale:
                     diagnostics.append(f"point {p!r} residual {val:.2e} on a minor")
                     ok = False
                     break
@@ -486,6 +500,7 @@ def curve_membership_check(t: PartialSymTensor, i: int, j: int, solution: EigenS
     report = {"i": i, "j": j, "max_residual": 0.0, "all_exact_zero": True, "count": 0}
     for deleted in (i, j):
         gens = minor_ideal_generators(EigenMatrix(t, (deleted,)))
+        residuals = _complex_residuals(gens)
         for p, _ in solution.points:
             report["count"] += 1
             if p.exact:
@@ -495,9 +510,9 @@ def curve_membership_check(t: PartialSymTensor, i: int, j: int, solution: EigenS
                         report["max_residual"] = float("inf")
             else:
                 report["all_exact_zero"] = False
-                coords = list(p.as_complex())
-                for g in gens:
-                    val = abs(complex(g.evaluate(coords))) / _poly_scale(g)
+                coords = p.as_complex()
+                for g, scale in residuals:
+                    val = abs(complex(g.evaluate(coords))) / scale
                     report["max_residual"] = max(report["max_residual"], val)
     report["passes"] = report["max_residual"] <= RESIDUAL_TOL or report["all_exact_zero"]
     return report

@@ -1,8 +1,12 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from eigenpoints import reconstruction as R
+from eigenpoints.exact_linalg import ExactMatrix
+from eigenpoints.groebner import EliminationError
 from eigenpoints.points import PointSet, ProjectivePoint
 from eigenpoints.rationals import rational
 from eigenpoints.solver import eigenpoints
@@ -33,7 +37,7 @@ def test_basis_dimension():
 def test_single_coordinate_point_gives_n_conditions():
     p = ProjectivePoint([rational(1), rational(0), rational(0), rational(0)])
     m = R.containment_system([p], 3, 3)
-    assert m.rows == 6
+    assert m.rows == 3  # n rows per point
     assert m.rank() == 3  # conditions reduce to g_j(p) = 0 for j >= 1
 
 
@@ -45,13 +49,87 @@ def test_empty_point_set_kernel_is_everything():
 def test_fermat_containment_shapes(fermat_solution):
     pts = fermat_solution.point_set()
     m = R.containment_system(pts, 3, 3)
-    assert (m.rows, m.cols) == (90, 40)
+    assert (m.rows, m.cols) == (45, 40)  # n = 3 rows per point
     rep = R.eigenscheme_kernel(pts, 3, 3)
     # regression value fixed by the independent fraction-elimination oracle
     assert rep.dimension == 5
     assert rep.degenerate_dimension == 4
     assert rep.contains_proper_tensor
     assert R.in_kernel_span(rep, fermat_tensor(3, 3).to_partial())
+
+
+def _all_pairs_fraction_rows(points, n, d, symmetric):
+    """The containment matrix built another way, as an oracle.
+
+    Column t holds the basis tensor with a single 1 at coordinate t.  At
+    every point, every column pair i < j gives the row of minors
+    x_i g_j - x_j g_i, evaluated in Fraction arithmetic from the tensor's
+    slices; with ``symmetric``, the coefficients of d_j g_i - d_i g_j follow.
+    """
+    basis = R.TensorSpaceBasis(n, d)
+    units = [
+        basis.vector_to_tensor([Fraction(int(k == t)) for k in range(basis.dimension)])
+        for t in range(basis.dimension)
+    ]
+    rows = []
+    for p in points:
+        x = [Fraction(c) for c in p.coords]
+        values = [[g.evaluate(x) for g in u.slices] for u in units]
+        for i, j in combinations(range(n + 1), 2):
+            rows.append([x[i] * v[j] - x[j] * v[i] for v in values])
+    if symmetric:
+        for i, j in combinations(range(n + 1), 2):
+            cols = [
+                (u.slices[i].partial_derivative(j) - u.slices[j].partial_derivative(i)).terms
+                for u in units
+            ]
+            for mono in sorted(set().union(*cols)):
+                rows.append([Fraction(c.get(mono, 0)) for c in cols])
+    return rows
+
+
+def _rational_points(n, count, seed):
+    """Seeded points with small fractional coordinates, a third of them at x_0 = 0."""
+    rng = random.Random(seed)
+    ps = PointSet(n)
+    while len(ps) < count:
+        coords = [rational(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n + 1)]
+        if len(ps) % 3 == 2:
+            coords[0] = rational(0)
+        if any(c != 0 for c in coords):
+            ps.add(ProjectivePoint(coords))
+    return ps
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize(
+    "n, d, count",
+    [(2, 3, 3), (2, 3, 4), (2, 4, 9), (3, 3, 5), (3, 3, 6), (3, 4, 14)],
+)
+def test_kernel_equals_the_all_pairs_fraction_kernel(n, d, count, symmetric):
+    pts = _rational_points(n, count, seed=100 * n + 10 * d + count)
+    assert any(p.coords[0] == 0 for p in pts)
+    assert any(c.denominator > 1 for p in pts for c in p.coords)
+    oracle = ExactMatrix(_all_pairs_fraction_rows(pts, n, d, symmetric)).right_kernel()
+    rep = R.eigenscheme_kernel(pts, n, d, symmetric=symmetric)
+    assert rep.kernel_vectors == oracle
+
+
+def test_containment_system_builds_in_ints(monkeypatch):
+    pts = _random_points(3, 40, seed=21, box=25)
+    made = []
+    fraction_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    m = R.containment_system(pts, 3, 4)
+    monkeypatch.undo()
+    assert made == []
+    assert (m.rows, m.cols) == (3 * 40, 80)
+    assert all(type(x) is int for row in m.entries for x in row)
 
 
 def test_fermat_45x40_kernel_regression(fermat_solution):
@@ -213,6 +291,30 @@ def test_enlarge_fermat_subset(fermat_solution):
     result = R.enlarge(subset, 3, seed=0)
     assert result["tensor"] is not None
     assert subset.is_subset_of(result["solution"].point_set())
+
+
+def test_enlarge_floating_input_reports_a_failed_solve():
+    # the rationalized kernel of ten random floating points gives a witness
+    # whose solve finds no checked eliminant: a rejected draw, not an error
+    rng = random.Random(3)
+    pts = [ProjectivePoint([rng.uniform(-1, 1) for _ in range(4)]) for _ in range(10)]
+    result = R.enlarge(pts, 3, seed=0, retries=1)
+    assert result["tensor"] is None
+    assert result["diagnostics"][0].startswith("draw 0: elimination error")
+
+
+def test_elimination_error_is_a_rejected_draw(fermat_solution, monkeypatch):
+    def failing_solve(t, seed=0):
+        raise EliminationError("no checked eliminant within the prime budget")
+
+    monkeypatch.setattr(R, "eigenpoints", failing_solve)
+    dec = R.is_eigenscheme(fermat_solution.point_set(), 3, 3, seed=0, retries=2)
+    assert dec["decision"] == "UNDECIDED"
+    assert len(dec["seeds_used"]) == 2
+    assert dec["diagnostics"][:2] == [
+        f"draw {k}: elimination error: no checked eliminant within the prime budget"
+        for k in range(2)
+    ]
 
 
 def test_enlarge_bound_rejected():

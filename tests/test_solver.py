@@ -128,6 +128,29 @@ def test_residuals_on_minors():
                 assert abs(complex(g.evaluate(coords))) <= 1e-8 * scale
 
 
+def test_hoisted_residuals_match_evaluate():
+    from eigenpoints.solver import _complex_residuals, _poly_scale
+
+    t = random_tensor(2, 6, seed=SEEDS[0])
+    sol = eigenpoints(t, seed=0)
+    floating = [p for p, _ in sol.points if not p.exact]
+    assert sol.certified and floating
+    gens = minor_ideal_generators(EigenMatrix(t))
+    for p in floating:
+        coords = p.as_complex()
+        for g, (gc, scale) in zip(gens, _complex_residuals(gens)):
+            assert scale == _poly_scale(g)
+            assert gc.evaluate(coords) == complex(g.evaluate(list(coords)))
+    report = curve_membership_check(t, 0, 1, sol)
+    worst = max(
+        abs(complex(g.evaluate(list(p.as_complex())))) / _poly_scale(g)
+        for deleted in (0, 1)
+        for g in minor_ideal_generators(EigenMatrix(t, (deleted,)))
+        for p in floating
+    )
+    assert report["max_residual"] == worst
+
+
 def test_degenerate_tensor_flagged():
     h = random_form(4, 1, seed=1)
     t = degenerate_tensor(3, 3, h)
