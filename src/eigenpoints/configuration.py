@@ -32,7 +32,7 @@ class IncidenceReport:
     numeric: bool = False
 
 
-def _monomials_of_degree(nvars: int, e: int):
+def _monomials(nvars: int, e: int):
     """Exponent tuples of total degree e, graded-lex descending."""
     out = []
 
@@ -47,19 +47,20 @@ def _monomials_of_degree(nvars: int, e: int):
     return out
 
 
+def _mono_value(coords, mono):
+    val = 1
+    for c, e in zip(coords, mono):
+        if e:
+            val = val * c**e
+    return val
+
+
 def _eval_rows(points, monos):
     rows = []
     numeric = any(not p.exact for p in points)
     for p in points:
         coords = list(p.as_complex()) if numeric else list(p.coords)
-        row = []
-        for mono in monos:
-            val = 1 if not numeric else (1 + 0j)
-            for c, e in zip(coords, mono):
-                if e:
-                    val = val * c**e
-            row.append(val)
-        rows.append(row)
+        rows.append([_mono_value(coords, mono) for mono in monos])
     return rows, numeric
 
 
@@ -117,7 +118,7 @@ def subset_on_hypersurface(
     if m > len(pts):
         raise ValueError(f"subset size {m} exceeds point count {len(pts)}")
     nvars = z.n + 1
-    monos = _monomials_of_degree(nvars, e)
+    monos = _monomials(nvars, e)
     ncols = len(monos)
     rows, numeric = _eval_rows(pts, monos)
     name = f"{m}-points-on-degree-{e}-hypersurface"

@@ -1,27 +1,14 @@
 """Exact rational scalars.
 
-Every symbolic computation in this package runs over the rationals.  We use
-gmpy2's mpq when available (it is markedly faster on large numerators) and
-fall back to fractions.Fraction, which has the same normalized-value
-semantics: positive denominator, gcd(num, den) = 1.
+Every symbolic computation in this package runs over the rationals, as
+fractions.Fraction: positive denominator, gcd(num, den) = 1.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as _mpq
+from fractions import Fraction
 
-    def rational(num=0, den=1):
-        return _mpq(num, den)
-
-    RATIONAL_BACKEND = "gmpy2"
-except ImportError:
-    from fractions import Fraction as _Fraction
-
-    def rational(num=0, den=1):
-        return _Fraction(num, den)
-
-    RATIONAL_BACKEND = "fractions"
+rational = Fraction
 
 ZERO = rational(0)
 ONE = rational(1)
@@ -29,7 +16,7 @@ ONE = rational(1)
 
 def is_rational(x) -> bool:
     """True for exact scalar types (our rationals and plain ints)."""
-    return isinstance(x, (int, type(ZERO)))
+    return isinstance(x, (int, Fraction))
 
 
 def parse_rational(text: str):

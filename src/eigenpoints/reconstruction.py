@@ -18,7 +18,7 @@ from math import comb, lcm
 
 import numpy as np
 
-from .configuration import subset_on_hypersurface
+from .configuration import _mono_value, _monomials, subset_on_hypersurface
 from .counts import expected_count
 from .exact_linalg import ExactMatrix
 from .groebner import EliminationError
@@ -67,20 +67,6 @@ class TensorSpaceBasis:
                     terms[mono] = c
             slices.append(Polynomial(nv, terms))
         return PartialSymTensor(self.n, self.d, slices)
-
-
-def _monomials(nvars: int, e: int):
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for a in range(remaining, -1, -1):
-            rec(prefix + (a,), remaining - a, slots - 1)
-
-    rec((), e, nvars)
-    return out
 
 
 class KernelReport:
@@ -166,14 +152,6 @@ def containment_system(points, n: int, d: int) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def _mono_value(coords, mono):
-    val = 1
-    for c, e in zip(coords, mono):
-        if e:
-            val = val * c**e
-    return val
-
-
 def _point_list(points, n):
     if isinstance(points, PointSet):
         if points.n != n:
@@ -249,7 +227,7 @@ def _numeric_kernel(pts, basis: TensorSpaceBasis, symmetric: bool) -> KernelRepo
     rows = []
     for p in pts:
         coords = list(p.as_complex())
-        mono_vals = [_mono_value_c(coords, m) for m in basis.monomials]
+        mono_vals = [_mono_value(coords, m) for m in basis.monomials]
         for i, j in combinations(range(n + 1), 2):
             row = [0j] * basis.dimension
             for k in range(basis.block):
@@ -341,14 +319,6 @@ def _rationalize_kernel(kernel, matrix, den_bound: int = 10**6, tol: float = 1e-
             return None
         out.append(vec)
     return out
-
-
-def _mono_value_c(coords, mono):
-    val = 1 + 0j
-    for c, e in zip(coords, mono):
-        if e:
-            val = val * c**e
-    return val
 
 
 def _span_intersection_dim(span_a, span_b) -> int:
@@ -530,6 +500,9 @@ def enlarge(points, d: int, seed: int = 0, retries: int = 8) -> dict:
     }
     if not report.contains_proper_tensor:
         out["diagnostics"].append("kernel reduces to the degenerate subspace")
+        return out
+    if not report.exact_vectors_available:
+        out["diagnostics"].append("floating input: numeric kernel, no certification")
         return out
     complement = _complement_vectors(report)
     expected = expected_count(n, d)

@@ -1,15 +1,16 @@
 """Eigenpoint enumeration by chart reduction and hyperplane recursion.
 
 In the chart x_j = 1 the 2x2 minors collapse to the square system
-g_k - x_k g_j = 0 (k != j); the remaining eigenpoints lie on x_j = 0 and
-satisfy the eigenproblem of the restricted tensor together with the
-vanishing of the restricted g_j, so the solver recurses into one lower
-projective dimension.  Every chart of two or more unknowns goes through
-one engine: a grevlex basis, then the rational univariate representation
-that ``groebner.fglm`` checks exactly over Q, after a random separating
-shear with recorded seed when the unsheared chart is not in shape
-position.  Points with rational coordinates are produced exactly; the
-rest are complex doubles read off that checked representation.
+g_k - x_k g_j = 0 (k != j); the remaining eigenpoints lie on x_j = 0,
+where the eigenscheme is that of the restricted tensor cut by the
+restricted g_j, so the solver recurses into one lower projective
+dimension with g_j as one more equation.  Every chart of two or more
+unknowns goes through one engine: a grevlex basis, then the rational
+univariate representation that ``groebner.fglm`` checks exactly over Q,
+after a random separating shear with recorded seed when the unsheared
+chart is not in shape position.  Points with rational coordinates are
+produced exactly; the rest are complex doubles read off that checked
+representation.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import random
 from . import unipoly
 from . import groebner as gb_engine
 from .counts import expected_count
-from .exact_linalg import ExactMatrix
 from .multipoly import Polynomial
 from .points import ProjectivePoint, point_from_json
 from .rationals import is_rational, rational
@@ -168,8 +168,7 @@ def solve_zero_dimensional(system, rng=None, max_retries: int = SHEAR_RETRIES):
     if k == 1:
         coeffs = unipoly.from_multipoly(nonzero[0])
         for p in nonzero[1:]:
-            g = unipoly.gcd(coeffs, unipoly.from_multipoly(p))
-            coeffs = g
+            coeffs = unipoly.gcd(coeffs, unipoly.from_multipoly(p))
         if unipoly.deg(coeffs) <= 0:
             return ChartResult([])
         sols = [((r,), m) for r, m in univariate_roots(coeffs)]
@@ -279,10 +278,11 @@ def eigenpoints(
     """The complete eigenpoint set of a tensor, chart by chart.
 
     Solves the chart x_0 = 1; when the count falls short of the generic
-    length, recurses into the hyperplane x_0 = 0, where eigenpoints are
-    eigenpoints of the restricted tensor that also kill the restricted
-    g_0.  Certification requires the full expected count with all
-    multiplicities one.
+    length, recurses into the hyperplane H = {x_0 = 0} and solves the
+    scheme E ∩ H there (``_solve_projective``).  Every multiplicity is a
+    lower bound for the length of E at the point, so certification, the
+    full expected count with all multiplicities one, proves E reduced and
+    complete.
     """
     if hasattr(t, "to_partial"):
         t = t.to_partial()
@@ -302,27 +302,13 @@ def eigenpoints(
         positive_dim = True
         collected = []
 
-    # deduplicate defensively and sort lexicographically
-    points = []
-    for coords, mult in collected:
-        p = ProjectivePoint(list(coords))
-        merged = False
-        for i, (q, m) in enumerate(points):
-            if p.same_point(q):
-                points[i] = (q, m + mult)
-                merged = True
-                break
-        if not merged:
-            points.append((p, mult))
-    points.sort(key=lambda pm: pm[0].sort_key())
+    # the levels are disjoint and each level's roots are distinct
+    points = sorted(
+        ((ProjectivePoint(list(coords)), mult) for coords, mult in collected),
+        key=lambda pm: pm[0].sort_key(),
+    )
 
     gens = minor_ideal_generators(EigenMatrix(t))
-    # an exact point counted more than once is simple when the minors'
-    # Jacobian there has full rank n
-    points = [
-        (p, 1 if m > 1 and p.exact and _jacobian_rank(gens, p.coords) == t.n else m)
-        for p, m in points
-    ]
     residual_ok = _check_residuals(points, gens, diagnostics)
 
     total = sum(m for _, m in points)
@@ -349,57 +335,36 @@ def eigenpoints(
 def _solve_projective(
     slices, filters, rng, charts, diagnostics, shears, prefix, budget, max_retries
 ):
-    """Eigenpoints of the tensor given by ``slices`` passing all filters.
+    """Points of E ∩ L: E the eigenscheme of ``slices``, L the zeros of ``filters``.
 
-    Returns a list of (projective coords, mult) or None when a
-    positive-dimensional locus was detected at this level.
+    A level in P^m solves its chart x_0 = 1 (x_0 names the first coordinate
+    of the level) and recurses into the hyperplane H = {x_0 = 0}.  On H the
+    minors x_0 g_j - x_j g_0 become -x_j g_0|, and the x_j have no common
+    zero, so E ∩ H is, as a scheme, the eigenscheme of the restricted
+    tensor (g_1|, ..., g_m|) cut by the filter g_0|.  Each chart therefore
+    solves the chart system with the dehomogenized filters appended, and
+    that augmented system is E ∩ L in the chart, L the linear space of the
+    level.  On P^1 the forms' gcd is taken by the one-variable path, and
+    (0:1) has the least of their orders there, which is their degree drop
+    in the chart; on P^0 the point is a zero only when no filter remains.
+
+    For an isolated point p of E on L, O_{E∩L,p} is a quotient of O_{E,p},
+    so the multiplicity reported for p, length(E ∩ L)_p, is at most
+    length(E)_p.  Every multiplicity is thus a lower bound, and a total
+    equal to the generic length with every multiplicity one still proves
+    the eigenscheme reduced and complete.
+
+    Returns a list of (projective coords, mult), or None when an augmented
+    system is positive-dimensional.
     """
     m = len(slices) - 1
     filters = [f for f in filters if not f.is_zero()]
-    label = prefix or "top"
 
     if m == 0:
-        coords = (rational(1),)
-        if _passes_filters(coords, filters):
-            return [(coords, 1)]
-        return []
+        return [] if filters else [((rational(1),), 1)]
 
-    if all(g.is_zero() for g in slices):
-        diagnostics.append(f"{label}: all slices vanish; positive-dimensional")
-        return None
-
-    if m == 1:
-        binary = (
-            Polynomial.variable(0, 2) * slices[1]
-            - Polynomial.variable(1, 2) * slices[0]
-        )
-        if binary.is_zero():
-            diagnostics.append(f"{label}: binary minor vanishes; positive-dimensional")
-            return None
-        coeffs = unipoly.from_multipoly(binary.dehomogenize(0))
-        out = []
-        if unipoly.deg(coeffs) > 0:
-            for r, mult in univariate_roots(coeffs):
-                coords = (rational(1), r) if is_rational(r) else (1.0 + 0j, r)
-                if _passes_filters(coords, filters):
-                    out.append((coords, mult))
-        # the degree drop of the dehomogenization is the multiplicity of (0:1)
-        # on this line; eigenpoints() lowers it to 1 where the point is simple
-        drop = binary.degree() - max(unipoly.deg(coeffs), 0)
-        if drop > 0:
-            coords = (rational(0), rational(1))
-            if _passes_filters(coords, filters):
-                out.append((coords, drop))
-        charts.append(f"{prefix}P1")
-        return out
-
-    # chart x_first = 1 (x0 names the first coordinate of the current level)
-    system = _chart_system(slices, 0)
-    chart_name = f"{prefix}x0=1"
-    out = []
-    if all(p.is_zero() for p in system):
-        diagnostics.append(f"{label}: chart system vanishes identically; positive-dimensional")
-        return None
+    chart_name = f"{prefix}P1" if m == 1 else f"{prefix}x0=1"
+    system = _chart_system(slices, 0) + [f.dehomogenize(0) for f in filters]
     result = solve_zero_dimensional(system, rng, max_retries)
     charts.append(chart_name)
     if result.shear is not None:
@@ -409,22 +374,32 @@ def _solve_projective(
     if result.positive_dimensional:
         diagnostics.append(f"{chart_name}: positive-dimensional chart")
         return None
+    out = []
     for coords, mult in result.solutions:
-        full = (rational(1),) + tuple(coords) if all(
-            not isinstance(c, complex) for c in coords
-        ) else (1.0 + 0j,) + tuple(coords)
-        if _passes_filters(full, filters):
-            out.append((full, mult))
+        one = rational(1) if all(is_rational(c) for c in coords) else 1.0 + 0j
+        out.append(((one,) + tuple(coords), mult))
 
-    found = sum(mult for _, mult in out)
-    if budget is not None and found >= budget and not filters:
+    if m == 1:
+        binary = (
+            Polynomial.variable(0, 2) * slices[1]
+            - Polynomial.variable(1, 2) * slices[0]
+        )
+        drop = min(
+            f.degree() - f.dehomogenize(0).degree()
+            for f in [binary] + filters
+            if not f.is_zero()
+        )
+        if drop > 0:
+            out.append(((rational(0), rational(1)), drop))
         return out
 
-    # recurse into the hyperplane x_first = 0
+    # a chart holding the generic length leaves no isolated point on H
+    found = sum(mult for _, mult in out)
+    if budget is not None and found >= budget:
+        return out
+
     restricted = [g.restrict_zero(0) for g in slices[1:]]
-    new_filters = [f.restrict_zero(0) for f in filters]
-    g0_restricted = slices[0].restrict_zero(0)
-    new_filters.append(g0_restricted)
+    new_filters = [f.restrict_zero(0) for f in filters] + [slices[0].restrict_zero(0)]
     sub = _solve_projective(
         restricted,
         new_filters,
@@ -439,37 +414,9 @@ def _solve_projective(
     if sub is None:
         return None
     for coords, mult in sub:
-        exact = all(not isinstance(c, complex) for c in coords)
-        zero = rational(0) if exact else 0j
+        zero = rational(0) if all(is_rational(c) for c in coords) else 0j
         out.append(((zero,) + tuple(coords), mult))
     return out
-
-
-def _jacobian_rank(gens, coords) -> int:
-    """Rank over Q of the Jacobian of ``gens`` at an exact projective point.
-
-    Taken in the affine chart of the first nonzero coordinate, whose
-    derivatives are the homogeneous ones with that coordinate's left out.
-    """
-    j = next(i for i, c in enumerate(coords) if c != 0)
-    point = [c / coords[j] for c in coords]
-    rows = [
-        [g.partial_derivative(k).evaluate(point) for k in range(len(coords)) if k != j]
-        for g in gens
-    ]
-    return ExactMatrix(rows).rank()
-
-
-def _passes_filters(coords, filters, tol=RESIDUAL_TOL):
-    exact = all(not isinstance(c, complex) for c in coords)
-    for f in filters:
-        val = f.evaluate(list(coords))
-        if exact:
-            if val != 0:
-                return False
-        elif abs(complex(val)) > tol * _poly_scale(f):
-            return False
-    return True
 
 
 def _check_residuals(points, gens, diagnostics) -> bool:

@@ -151,7 +151,7 @@ def _round_scaled(num: int, den: int, e: int) -> int:
 def _to_fixed(c: list, e: int) -> list:
     """Each coefficient times 2**e, rounded to an integer.
 
-    Reads .numerator and .denominator, so Fraction, mpq and int all work.
+    Reads .numerator and .denominator, so Fraction and int both work.
     """
     return [_round_scaled(int(v.numerator), int(v.denominator), e) for v in c]
 

@@ -303,6 +303,38 @@ def test_enlarge_floating_input_reports_a_failed_solve():
     assert result["diagnostics"][0].startswith("draw 0: elimination error")
 
 
+def _complex_points(count, seed=3):
+    rng = random.Random(seed)
+    return [
+        ProjectivePoint([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)])
+        for _ in range(count)
+    ]
+
+
+def test_enlarge_numeric_kernel_reports():
+    # complex floating points: the numeric kernel does not rationalize, so
+    # there are no exact vectors to draw a witness from
+    result = R.enlarge(_complex_points(10), 3, seed=0, retries=1)
+    assert result["kernel"]["numeric"] and not result["kernel"]["rationalized"]
+    assert result["tensor"] is None and result["seeds_used"] == []
+    assert result["diagnostics"] == ["floating input: numeric kernel, no certification"]
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_is_eigenscheme_numeric_kernel_is_undecided(symmetric):
+    # four complex points of P^3 leave a kernel beyond the degenerate
+    # tensors, numerically (with the symmetric flag, past the degenerate
+    # intersection's SVD), and it does not rationalize
+    dec = R.is_eigenscheme(_complex_points(4), 3, 3, symmetric=symmetric)
+    kernel = dec["kernel"]
+    assert kernel["numeric"] and not kernel["rationalized"]
+    assert kernel["containsProperTensor"]
+    assert kernel["dimension"] == (8 if symmetric else 28)
+    assert kernel["degenerateDimension"] == (0 if symmetric else 4)
+    assert dec["decision"] == "UNDECIDED" and dec["witness"] is None
+    assert "floating input: numeric kernel, no certification" in dec["diagnostics"]
+
+
 def test_elimination_error_is_a_rejected_draw(fermat_solution, monkeypatch):
     def failing_solve(t, seed=0):
         raise EliminationError("no checked eliminant within the prime budget")

@@ -6,6 +6,7 @@ from eigenpoints.points import ProjectivePoint
 from eigenpoints.rationals import rational
 from eigenpoints.solver import (
     EigenSolution,
+    _solve_projective,
     chart_system,
     curve_membership_check,
     eigenpoints,
@@ -13,6 +14,7 @@ from eigenpoints.solver import (
 )
 from eigenpoints.tensors import (
     EigenMatrix,
+    PartialSymTensor,
     degenerate_tensor,
     fermat_tensor,
     minor_ideal_generators,
@@ -263,3 +265,57 @@ def test_cone_tensor_reports_non_reduced():
     fat = [(p, m) for p, m in sol.points if m > 1]
     assert fat and fat[0][0].same_point(vertex)
     assert any("generic length" in d or "non-reduced" in d for d in sol.diagnostics)
+
+
+def _restriction_degenerate_tensor(seed):
+    # g_1 = x_1 x_2 + x_0 l_1, g_2 = x_2^2 + x_0 l_2: on x_0 = 0 the restricted
+    # tensor (x_1 x_2, x_2^2) has every point of the line as an eigenpoint
+    x = [Polynomial.variable(i, 3) for i in range(3)]
+    l1 = random_form(3, 1, seed=100 + seed)
+    l2 = random_form(3, 1, seed=200 + seed)
+    g0 = random_form(3, 2, seed=300 + seed)
+    return PartialSymTensor(2, 3, [g0, x[1] * x[2] + x[0] * l1, x[2] * x[2] + x[0] * l2])
+
+
+def test_degenerate_restriction_solves_e_cap_h():
+    # the level x_0 = 0 solves E ∩ H, the two zeros of g_0| on the line,
+    # not the restricted tensor's eigenscheme, which is the whole line
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    for seed in range(2):
+        t = _restriction_degenerate_tensor(seed)
+        g1, g2 = (g.restrict_zero(0) for g in t.slices[1:])
+        assert (x1 * g2 - x2 * g1).is_zero()
+        sol = eigenpoints(t, seed=0)
+        assert sol.certified, sol.diagnostics
+        assert len(sol.points) == sol.total_multiplicity == 7
+        assert sol.charts_solved == ["x0=1", "x0=0|P1"]
+        on_h = [p for p, _ in sol.points if p.as_complex()[0] == 0]
+        assert len(on_h) == 2
+        for g in minor_ideal_generators(EigenMatrix(t)):
+            scale = max(abs(float(c)) for c in g.terms.values())
+            for p in on_h:
+                assert abs(complex(g.evaluate(list(p.as_complex())))) < 1e-8 * scale
+
+
+def test_line_level_takes_the_gcd_with_the_filters():
+    x0, x1 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+
+    def line(slices, filters):
+        return _solve_projective(slices, filters, None, [], [], {}, "", None, 0)
+
+    # the binary minor of (x_0^2, x_0 x_1) vanishes; the filter leaves (1 : ±i)
+    out = line([x0 * x0, x1 * x0], [x0 * x0 + x1 * x1])
+    assert sorted(complex(c[1]).imag for c, _ in out) == [-1.0, 1.0]
+    assert all(m == 1 for _, m in out)
+    # (0:1) gets the least order of the forms there: the filter x_0^2 has
+    # order 2 and no other zero on the line
+    assert line([x0, x1], [x0 * x0]) == [((rational(0), rational(1)), 2)]
+    # the minor x_0^3 of (x_0^2, x_0 x_1 + x_0^2) has order 3 at (0:1), the
+    # filter x_0 x_1 order 1, and the filter's zero (1:0) is no eigenpoint
+    assert line([x0 * x0, x0 * x1 + x0 * x0], [x0 * x1]) == [((rational(0), rational(1)), 1)]
+    # no filter and a vanishing minor: the whole line
+    assert line([x0, x1], []) is None
+    # on P^0 the point survives only when no filter remains
+    z = Polynomial.variable(0, 1)
+    assert _solve_projective([z], [z], None, [], [], {}, "", None, 0) == []
+    assert _solve_projective([z], [], None, [], [], {}, "", None, 0) == [((rational(1),), 1)]
