@@ -2,8 +2,12 @@
 
 Strategy: exact square-free decomposition fixes multiplicities; rational
 roots are recovered from numeric candidates by continued-fraction
-rationalization and verified exactly; whatever remains is handed to the
-companion-matrix eigensolver with one Newton polish step.
+rationalization and verified exactly; the rest get start points from the
+companion-matrix eigensolver and one double-precision Newton step.
+``start_points`` returns those start points, which the solver refines once
+each against the exact eliminant (``unipoly.refined_values``);
+``univariate_roots`` polishes them against the exact polynomial with up to
+three ``unipoly.newton_correction`` steps.
 """
 
 from __future__ import annotations
@@ -48,8 +52,12 @@ def _rational_candidates(z, den_bound):
     return [rational(fr.numerator, fr.denominator)]
 
 
-def _roots_of_squarefree(factor, den_bound, residual_tol):
-    """Roots of an exact square-free polynomial, each with multiplicity one."""
+def _roots_of_squarefree(factor, den_bound):
+    """Roots of an exact square-free polynomial, each with multiplicity one.
+
+    Returns the verified rational roots, the factor left once they are
+    divided out, and its roots as double-precision start points.
+    """
     work = list(factor)
     exact_roots = []
     # peel off verified rational roots so the numeric part shrinks
@@ -70,22 +78,38 @@ def _roots_of_squarefree(factor, den_bound, residual_tol):
         exact_roots.append(found)
         # divide by (t - root) exactly
         work = unipoly.exact_div(work, [-found, rational(1)])
-    complex_roots = []
+    starts = []
     if unipoly.deg(work) > 0:
         coeffs_f = _float_coeffs(work)
-        for z in np.roots(list(reversed(coeffs_f))):
-            z = _newton_polish(coeffs_f, complex(z))
-            # Newton against the exact polynomial at high precision; the
-            # float companion matrix only provides the starting point
-            for _ in range(3):
-                step, residual = unipoly.newton_correction(work, z)
-                if step is None:
-                    break
-                z = z - step
-                if residual <= residual_tol * max(1.0, abs(z)) ** unipoly.deg(work):
-                    break
-            complex_roots.append(complex(z))
-    return exact_roots, complex_roots
+        starts = [_newton_polish(coeffs_f, complex(z)) for z in np.roots(list(reversed(coeffs_f)))]
+    return exact_roots, work, starts
+
+
+def _factor_roots(coeffs, den_bound):
+    """(multiplicity, exact roots, rest, start points) per square-free factor."""
+    c = unipoly.trim(list(coeffs))
+    if not c:
+        raise RootfindingError("zero polynomial has no well-defined roots")
+    if unipoly.deg(c) == 0:
+        return []
+    return [
+        (mult, *_roots_of_squarefree(factor, den_bound))
+        for factor, mult in unipoly.squarefree_decomposition(c)
+    ]
+
+
+def start_points(coeffs, den_bound: int = 10**6):
+    """The roots of an exact univariate polynomial with multiplicities, unrefined.
+
+    Returns a list of (root, multiplicity): exact rationals where verified,
+    otherwise double-precision start points for an exact refinement.  The
+    multiplicity total equals the degree.  Raises RootfindingError on the
+    zero polynomial.
+    """
+    out = []
+    for mult, exact, _, starts in _factor_roots(coeffs, den_bound):
+        out.extend((r, mult) for r in exact + starts)
+    return _sorted(out)
 
 
 def univariate_roots(coeffs, residual_tol: float = 1e-12, den_bound: int = 10**6):
@@ -95,18 +119,26 @@ def univariate_roots(coeffs, residual_tol: float = 1e-12, den_bound: int = 10**6
     verifiable, otherwise complex floats.  The multiplicity total equals the
     degree.  Raises RootfindingError on the zero polynomial.
     """
-    c = unipoly.trim(list(coeffs))
-    if not c:
-        raise RootfindingError("zero polynomial has no well-defined roots")
-    if unipoly.deg(c) == 0:
-        return []
     out = []
-    for factor, mult in unipoly.squarefree_decomposition(c):
-        exact, numeric = _roots_of_squarefree(factor, den_bound, residual_tol)
+    for mult, exact, rest, starts in _factor_roots(coeffs, den_bound):
         out.extend((r, mult) for r in exact)
-        out.extend((r, mult) for r in numeric)
-    out.sort(key=lambda rm: (_sort_float(rm[0]).real, _sort_float(rm[0]).imag))
-    return out
+        poly = unipoly.FixedPoly(rest)
+        for z in starts:
+            # Newton against the exact polynomial at high precision; the
+            # float companion matrix only provides the starting point
+            for _ in range(3):
+                step, residual = unipoly.newton_correction(poly, z)
+                if step is None:
+                    break
+                z = z - step
+                if residual <= residual_tol * max(1.0, abs(z)) ** unipoly.deg(rest):
+                    break
+            out.append((complex(z), mult))
+    return _sorted(out)
+
+
+def _sorted(roots):
+    return sorted(roots, key=lambda rm: (_sort_float(rm[0]).real, _sort_float(rm[0]).imag))
 
 
 def _sort_float(r):

@@ -23,7 +23,7 @@ from .counts import expected_count
 from .multipoly import Polynomial
 from .points import ProjectivePoint, point_from_json
 from .rationals import is_rational, rational
-from .roots import univariate_roots
+from .roots import start_points, univariate_roots
 from .tensors import EigenMatrix, PartialSymTensor, minor_ideal_generators
 
 RESIDUAL_TOL = 1e-8
@@ -218,8 +218,7 @@ def _solve_by_elimination(polys, k, rng, max_retries):
         if lex.dimension == 0:
             return ChartResult([], shear=coeffs)
         if lex.in_shape_position():
-            sols = _shape_back_substitute(lex, coeffs, k)
-            notes = []
+            sols, notes = _shape_back_substitute(lex, coeffs, k)
             if len(lex.squarefree) < len(lex.eliminant):
                 notes.append("eliminant not squarefree: multiplicity reported")
             return ChartResult(sols, notes=notes, shear=coeffs)
@@ -233,35 +232,47 @@ def _solve_by_elimination(polys, k, rng, max_retries):
 
 
 def _shape_back_substitute(lex, coeffs, k):
-    """Chart points x_i = g_i(z) / p_sq'(z) at the roots z of the eliminant."""
+    """Chart points x_i = g_i(z) / p_sq'(z) at the roots z of the eliminant.
+
+    Returns the points and the notes of the floating roots dropped because
+    their refinement failed.  Each polynomial is prepared for fixed point
+    once, for all the roots.
+    """
     numerators = [lex.numerators[i] for i in range(k - 1)]
-    sols = []
-    for z0, mult in univariate_roots(lex.eliminant):
+    squarefree = unipoly.FixedPoly(lex.squarefree)
+    polys = [unipoly.FixedPoly(g) for g in numerators + [lex.denominator]]
+    sols, notes = [], []
+    for z0, mult in start_points(lex.eliminant):
         if is_rational(z0):
             den = unipoly.evaluate(lex.denominator, z0)
             coords = tuple(unipoly.evaluate(g, z0) / den for g in numerators) + (z0,)
         else:
-            coords = _rur_point(lex, numerators, z0)
+            try:
+                coords = _rur_point(squarefree, polys, z0)
+            except ArithmeticError as exc:
+                notes.append(f"root near {z0:.6g} dropped: {exc}")
+                continue
         coords = _unshear(coords, coeffs) if any(coeffs) else coords
         sols.append((coords, mult))
-    return sols
+    return sols, notes
 
 
-def _rur_point(lex, numerators, z0):
+def _rur_point(squarefree, polys, z0):
     """The coordinates g_i(z) / p_sq'(z) at the root z near z0, in double precision.
 
+    ``polys`` are the numerators g_i followed by the denominator p_sq', and
+    ``squarefree`` is p_sq, as coefficient lists or ``unipoly.FixedPoly``.
     The values come from ``refined_values`` within 2**-bits, so a quotient
     keeps 64 bits while |p_sq'(z)| >= 2**(64 - bits).  Until the computed
     |p_sq'(z)| shows that, they are computed again with the bits it costs;
     a denominator lost in the error reads too small, so each pass raises
     bits by more than 32 until |p_sq'(z)|, nonzero at a simple root, is seen.
     """
-    polys = numerators + [lex.denominator]
     bits = unipoly.REFINE_BITS
-    z_ref, values = unipoly.refined_values(lex.squarefree, polys, z0)
+    z_ref, values = unipoly.refined_values(squarefree, polys, z0)
     while (short := 65 - values[-1].exponent()) > bits:
         bits = short + 32
-        z_ref, values = unipoly.refined_values(lex.squarefree, polys, z0, bits)
+        z_ref, values = unipoly.refined_values(squarefree, polys, z0, bits)
     *tops, bottom = values
     return tuple(top / bottom for top in tops) + (complex(z_ref),)
 

@@ -2,7 +2,8 @@
 
 Coefficient lists are ascending in degree with no trailing zeros; the zero
 polynomial is the empty list.  These are the workhorses behind eliminants:
-exact gcd, square-free decomposition, and the Hilbert-numerator division.
+exact gcd, square-free decomposition, the Hilbert-numerator division, and
+the fixed-point evaluation and Newton refinement at floating roots.
 """
 
 from __future__ import annotations
@@ -107,6 +108,24 @@ def derivative(c: list) -> list:
 # out.  So p(z) and p'(z) come back within 2**_horner_loss(n, mag) units of
 # 2**-s for n coefficients and |z| <= 2**mag, and s has to cover that loss
 # plus the bits that are wanted.
+#
+# A polynomial evaluated at many points is prepared once, as a ``FixedPoly``:
+# the bit bound of each coefficient, the largest of them (``top``), and the
+# coefficients times 2**E, rounded, at the finest scale E asked for so far.
+# Any scale e <= E is a rounding shift of those integers, which lands within
+# 1/2 + 2**(e-E)/2 <= 1 unit of the exact value; only a scale beyond E costs
+# a division per coefficient, and E then becomes twice the scale asked for
+# (or 64 bits above it), so the roots of a chart convert each polynomial a
+# few times at most.
+#
+# ``refined_values`` opens with a probe: one Horner evaluation of the
+# eliminant at the start point, _PROBE_BITS bits beyond its Horner loss, as
+# ``newton_correction`` makes.  The probe's Newton step moves the start
+# point, and its |p'| sets the working precision of the one full Newton
+# pass: that pass needs |p'| above its rounding noise by the bits wanted,
+# so each bit by which |p'| falls short costs one more bit of scale.  The
+# pass then reads |p'| again at the root it holds and raises the precision
+# once when the probe read it too large.
 
 
 def _log2_bound(x) -> int:
@@ -119,17 +138,16 @@ def _magnitude_bits(z: complex) -> int:
     return max(0, math.frexp(abs(z))[1])
 
 
-def _term_bits(c: list, mag: int) -> int:
-    """Upper bound on log2 of sum |c_k| 2**(mag k), the Horner term size."""
-    return max(_log2_bound(v) + k * mag for k, v in enumerate(c) if v) + len(c).bit_length()
-
-
 def _horner_loss(n: int, mag: int) -> int:
     """Bits of 2**-s lost by ``_horner`` on n coefficients at |z| <= 2**mag.
 
-    The roundings at each step (coefficient, real and imaginary product) are
-    at most 2 units each, amplified by |z|**k; the derivative also collects
-    the errors of the value, which costs another factor n.
+    A step rounds its coefficient (at most 1 unit, with the rounding shift
+    of ``FixedPoly.fixed``) and floors the real and imaginary parts of its
+    product (under 1 unit each): under 1 + 2**0.5 < 3 units.  Amplified by
+    |z|**k, the value collects under 3 n 2**((n-1) mag) units; the
+    derivative also collects the value's errors, under (3 n + 2) n
+    2**((n-1) mag) <= 5 n**2 2**((n-1) mag) units.  Both stay below
+    2**((n-1) mag + 2 bit_length(n) + 3), since 2**bit_length(n) > n.
     """
     return (n - 1) * mag + 2 * n.bit_length() + 3
 
@@ -156,11 +174,52 @@ def _to_fixed(c: list, e: int) -> list:
     return [_round_scaled(int(v.numerator), int(v.denominator), e) for v in c]
 
 
+class FixedPoly:
+    """A polynomial's exact coefficients, prepared for fixed-point Horner.
+
+    Made once and evaluated at many points (see the comment block above):
+    ``top`` bounds the largest coefficient, 2**(top-2) <= max|c_k| < 2**top,
+    and ``fixed(e)`` gives the coefficients at scale 2**e with no division
+    unless e is finer than every scale asked for before.
+    """
+
+    __slots__ = ("coeffs", "top", "_nonzero", "_scale", "_ints")
+
+    def __init__(self, c: list):
+        self.coeffs = c
+        self._nonzero = [(k, _log2_bound(v)) for k, v in enumerate(c) if v]
+        self.top = max((b for _, b in self._nonzero), default=None)
+        self._scale = None
+        self._ints = None
+
+    def term_bits(self, mag: int) -> int:
+        """Upper bound on log2 of sum |c_k| 2**(mag k), the Horner term size."""
+        return max(b + k * mag for k, b in self._nonzero) + len(self.coeffs).bit_length()
+
+    def fixed(self, e: int) -> list:
+        """Each coefficient times 2**e, within 1 unit."""
+        if self._scale is None or e > self._scale:
+            self._scale = e + max(e, 64)
+            self._ints = _to_fixed(self.coeffs, self._scale)
+        k = self._scale - e
+        half = (1 << k) >> 1
+        return [(v + half) >> k for v in self._ints]
+
+
+def _prepared(c) -> FixedPoly:
+    return c if isinstance(c, FixedPoly) else FixedPoly(c)
+
+
 def _fixed_point(z: complex, s: int) -> tuple:
     return (
         _round_scaled(*z.real.as_integer_ratio(), s),
         _round_scaled(*z.imag.as_integer_ratio(), s),
     )
+
+
+def _shifted(v: int, k: int) -> int:
+    """v * 2**k, floored when k < 0."""
+    return v << k if k >= 0 else v >> -k
 
 
 def _horner(coeffs: list, zr: int, zi: int, s: int) -> tuple:
@@ -231,61 +290,86 @@ class FixedComplex:
         return f"FixedComplex({complex(self)!r})"
 
 
+# Newton steps ``_newton`` takes before it gives up
+NEWTON_STEPS = 80
+
+
+def _newton_step(p: tuple, dp: tuple, s: int) -> tuple:
+    """p / dp in fixed point at scale 2**s, for a nonzero dp."""
+    den = dp[0] * dp[0] + dp[1] * dp[1]
+    return (
+        ((p[0] * dp[0] + p[1] * dp[1]) << s) // den,
+        ((p[1] * dp[0] - p[0] * dp[1]) << s) // den,
+    )
+
+
 def _newton(elim: list, zr: int, zi: int, s: int, loss: int) -> tuple:
     """Fixed-point Newton on ``elim`` (integers at scale 2**s) from zr + i zi.
 
     Stops once the step is within 2**24 units of the last place or the
     residual is down to the rounding noise 2**loss; a step from a residual
     that is only noise is not taken, since over a small |p'(z)| it can throw
-    z far from a root it already holds.  Returns (zr, zi, p'(z)).
+    z far from a root it already holds.  Returns (zr, zi, p'(z)), and raises
+    ArithmeticError when neither rule holds within NEWTON_STEPS steps.
     """
-    dp = (0, 0)
-    for _ in range(80):
+    for _ in range(NEWTON_STEPS):
         p, dp = _horner(elim, zr, zi, s)
-        den = dp[0] * dp[0] + dp[1] * dp[1]
-        if den == 0 or _bits(p) <= loss:
-            break
-        # step = p / dp, in fixed point
-        sr = ((p[0] * dp[0] + p[1] * dp[1]) << s) // den
-        si = ((p[1] * dp[0] - p[0] * dp[1]) << s) // den
+        if dp == (0, 0) or _bits(p) <= loss:
+            return zr, zi, dp
+        sr, si = _newton_step(p, dp, s)
         zr, zi = zr - sr, zi - si
         if max(abs(sr), abs(si)) <= (1 << 24) * (1 + (max(abs(zr), abs(zi)) >> s)):
-            break
-    return zr, zi, dp
+            return zr, zi, dp
+    raise ArithmeticError(f"Newton did not converge in {NEWTON_STEPS} steps")
 
 
 # the bits ``refined_values`` carries beyond the values when not told otherwise
 REFINE_BITS = 160
+# the bits beyond its Horner loss at which ``refined_values`` probes a start point
+_PROBE_BITS = 128
 
 
-def refined_values(eliminant: list, polys: list, z0: complex, extra_bits: int = REFINE_BITS):
+def refined_values(eliminant, polys: list, z0: complex, extra_bits: int = REFINE_BITS):
     """Newton-refine a floating root of ``eliminant`` and evaluate there.
 
+    ``eliminant`` and each of ``polys`` is a coefficient list or its
+    ``FixedPoly``; the roots of one eliminant share one ``FixedPoly`` each.
     Both steps run in fixed point on Python ints (see ``_horner``), so
-    evaluating companion polynomials with enormous coefficients at the refined
-    root stays meaningful.  Each value is within about 2**-extra_bits of the
-    value at the exact root: the root is refined until its error, the
-    eliminant's rounding noise over |eliminant'|, is below 2**-extra_bits
-    over the bound on |poly'|, and the working precision is raised once if
-    the first pass shows |eliminant'| too small for that.  Returns
-    (root, values) as ``FixedComplex``; values stay at full precision until
-    the caller combines them.
+    evaluating companion polynomials with enormous coefficients at the
+    refined root stays meaningful.  Each value is within about
+    2**-extra_bits of the value at the exact root: the root is refined until
+    its error, the eliminant's rounding noise over |eliminant'|, is below
+    2**-extra_bits over the bound on |poly'|.  The working precision comes
+    from |eliminant'| at the start point, read by the probe, and is raised
+    once if the pass shows |eliminant'| at the root too small for it.
+    Returns (root, values) as ``FixedComplex``; values stay at full
+    precision until the caller combines them.  Raises ArithmeticError when
+    Newton does not converge.
     """
+    elim = _prepared(eliminant)
+    polys = [_prepared(p) for p in polys]
     z0 = complex(z0)
     mag = _magnitude_bits(z0)
-    top = max(_log2_bound(v) for v in eliminant if v)
-    loss = _horner_loss(len(eliminant), mag)
-    live = [p for p in polys if p]
+    loss = _horner_loss(len(elim.coeffs), mag)
+    live = [p for p in polys if p.coeffs]
     # |poly'(z)| <= 2**slope, and Horner on poly loses at most 2**noise units
-    slope = max([_term_bits(p, mag) + len(p).bit_length() for p in live] + [0])
-    noise = max([_horner_loss(len(p), mag) for p in live] + [0])
+    slope = max([p.term_bits(mag) + len(p.coeffs).bit_length() for p in live] + [0])
+    noise = max([_horner_loss(len(p.coeffs), mag) for p in live] + [0])
     want = extra_bits + slope + loss + 1
-    # the first pass assumes |eliminant'| >= 1/2 after scaling to max|coeff| < 1
-    s = max(want + 1, extra_bits + noise)
+    # the probe, on the eliminant scaled to max|coeff| < 1; its step is taken
+    # only from a residual and a derivative above the noise
+    s0 = loss + _PROBE_BITS
+    p, dp = _horner(elim.fixed(s0 - elim.top), *_fixed_point(z0, s0), s0)
+    seen = max(_bits(dp), loss + 2)
+    # the pass needs _bits(dp) >= want, and dp gains one bit per bit of scale
+    s = max(want + 1 + s0 - seen, extra_bits + noise)
     zr, zi = _fixed_point(z0, s)
+    if seen > loss + 2 and _bits(p) > loss:
+        sr, si = _newton_step(p, dp, s0)
+        zr, zi = zr - _shifted(sr, s - s0), zi - _shifted(si, s - s0)
     raised = False
     while True:
-        zr, zi, dp = _newton(_to_fixed(eliminant, s - top), zr, zi, s, loss)
+        zr, zi, dp = _newton(elim.fixed(s - elim.top), zr, zi, s, loss)
         # root error <= 2**loss / |dp| <= 2**(loss + 1 - _bits(dp)); want 2**-(extra_bits + slope)
         short = want - _bits(dp)
         if short <= 0 or dp == (0, 0) or raised:
@@ -293,35 +377,39 @@ def refined_values(eliminant: list, polys: list, z0: complex, extra_bits: int = 
         zr, zi, s, raised = zr << short, zi << short, s + short, True
     values = []
     for poly in polys:
-        (vr, vi), _ = _horner(_to_fixed(poly, s), zr, zi, s)
+        (vr, vi), _ = _horner(poly.fixed(s), zr, zi, s)
         values.append(FixedComplex(vr, vi, s))
     return FixedComplex(zr, zi, s), values
 
 
-def newton_correction(c: list, x: complex):
+def newton_correction(c, x: complex):
     """One exact-coefficient Newton datum at a complex point.
 
-    Returns (step, scaled_residual) as Python numbers, with
-    step = p(x)/p'(x) (None where the derivative vanishes) and
-    scaled_residual = |p(x)| / max|coeff|.  The point x is taken as given and
-    both are evaluated in fixed point (see ``_horner``): the residual to
-    within 2**-126, and the step to within 2**-128 (1 + |step|) before it is
-    rounded to a complex, the precision being raised once when |p'(x)| turns
-    out small.  Neither cancellation nor coefficients outside the double
-    range can spoil them.
+    ``c`` is a coefficient list or its ``FixedPoly``.  Returns
+    (step, scaled_residual) as Python numbers, with step = p(x)/p'(x) (None
+    where the derivative vanishes) and scaled_residual = |p(x)| / max|coeff|.
+    The point x is taken as given and both are evaluated in fixed point (see
+    ``_horner``): the residual to within 2**-126, and the step to within
+    2**-128 (1 + |step|) before it is rounded to a complex, the precision
+    being raised once when |p'(x)| turns out small.  Neither cancellation nor
+    coefficients outside the double range can spoil them.  Its caller is the
+    one-variable (P^1) path: ``roots.univariate_roots`` polishes its floating
+    roots with it, while the roots of a shape-position eliminant go to
+    ``refined_values`` unpolished.
     """
+    poly = _prepared(c)
     x = complex(x)
-    top = max(_log2_bound(v) for v in c if v)
-    loss = _horner_loss(len(c), _magnitude_bits(x))
+    top = poly.top
+    loss = _horner_loss(len(poly.coeffs), _magnitude_bits(x))
     s = loss + 129  # enough when |p'(x)| >= 1/2 after scaling to max|coeff| < 1
-    p, dp = _horner(_to_fixed(c, s - top), *_fixed_point(x, s), s)
+    p, dp = _horner(poly.fixed(s - top), *_fixed_point(x, s), s)
     # step error <= 2**loss (1 + |step|) / |dp| <= 2**(loss + 1 - _bits(dp)) (1 + |step|)
     short = loss + 129 - _bits(dp)
     if short > 0 and dp != (0, 0):
         s += short
-        p, dp = _horner(_to_fixed(c, s - top), *_fixed_point(x, s), s)
+        p, dp = _horner(poly.fixed(s - top), *_fixed_point(x, s), s)
     # |p(x)| / max|coeff| = |p(x) / 2**top| * (2**top / max|coeff|)
-    big = max(abs(v) for v in c)
+    big = max(abs(v) for v in poly.coeffs)
     num, den = int(big.numerator), int(big.denominator)
     ratio = _ratio(den << top, num) if top >= 0 else _ratio(den, num << -top)
     one = 1 << s

@@ -62,6 +62,60 @@ def test_rur_point_raises_precision_where_the_denominator_is_small(e):
     eps = rational(1, 2**e)
     sq = [1 + eps * eps, rational(-2), rational(1)]
     g = [-2 - 2 * eps * eps, rational(2)]
-    x, z = _rur_point(LexBasis(2, 2, [], sq, sq, {0: g}), [g], complex(1, 2.0**-e))
+    lex = LexBasis(2, 2, [], sq, sq, {0: g})
+    x, z = _rur_point(lex.squarefree, [g, lex.denominator], complex(1, 2.0**-e))
     assert abs(x - z) <= 2.0**-52
     assert abs(abs(x.imag) * 2.0**e - 1) < 1e-12
+
+
+def test_newton_cap_raises():
+    # from 2**100, Newton on z**2 - 1 halves z each step: 100 steps, past the cap
+    with pytest.raises(ArithmeticError):
+        U.refined_values([-1, 0, 1], [[-1, 0, 1]], 2.0**100)
+
+
+def _within_one_unit(c, e, ints, bound=1):
+    # the prepared form's stated rounding: 1 unit of 2**-e, against the exact
+    # value and so within 1 of _to_fixed's correctly rounded integers
+    for v, got, ref in zip(c, ints, U._to_fixed(c, e)):
+        assert abs(got - Fraction(v) * Fraction(2) ** e) <= bound
+        assert abs(got - ref) <= 1
+
+
+def test_prepared_form_matches_to_fixed():
+    c = [
+        rational(0),
+        rational(10**400),
+        rational(-7, 3),
+        rational(1, 10**500),
+        rational(-(10**350 + 1), 3),
+        rational(5),
+    ]
+    poly = U.FixedPoly(c)
+    assert poly.top == U._log2_bound(c[1])
+    # the first scale converts; coarser ones are rounding shifts, down to far
+    # below the coefficient sizes; a finer one converts again
+    for e in [300, 300, 120, 1, 0, -7, -1200, -1400, -2000, 599, 600, 601, 5000, 64]:
+        ints = poly.fixed(e)
+        assert ints[0] == 0
+        # from the scale E held: 1/2 + 2**(e-E)/2, below 1 unit
+        _within_one_unit(c, e, ints, Fraction(1, 2) + Fraction(2) ** (e - poly._scale) / 2)
+
+
+def test_prepared_form_at_the_scales_a_solve_uses(monkeypatch):
+    from conftest import random_tensor
+    from eigenpoints.solver import eigenpoints
+
+    seen = []
+    fixed = U.FixedPoly.fixed
+
+    def recording(self, e):
+        ints = fixed(self, e)
+        seen.append((self.coeffs, e, ints))
+        return ints
+
+    monkeypatch.setattr(U.FixedPoly, "fixed", recording)
+    assert eigenpoints(random_tensor(2, 5, 1), seed=0).certified
+    assert len({e for _, e, _ in seen}) > 1
+    for c, e, ints in seen:
+        _within_one_unit(c, e, ints)

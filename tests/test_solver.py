@@ -92,6 +92,40 @@ def test_no_separating_shear_leaves_the_solve_uncertified(monkeypatch):
     assert "found total multiplicity 0, generic length is 7" in sol.diagnostics
 
 
+def test_newton_cap_drops_the_root_and_leaves_the_solve_uncertified(monkeypatch):
+    from eigenpoints import unipoly
+
+    monkeypatch.setattr(unipoly, "NEWTON_STEPS", 1)
+    sol = eigenpoints(random_tensor(2, 5, seed=1), seed=0)
+    assert not sol.certified
+    dropped = [d for d in sol.diagnostics if "dropped: Newton did not converge in 1 steps" in d]
+    assert dropped and all(d.startswith("x0=1: root near ") for d in dropped)
+    assert sol.total_multiplicity == expected_count(2, 5) - len(dropped)
+
+
+def test_each_floating_root_is_refined_once(monkeypatch):
+    from collections import Counter
+
+    from eigenpoints import unipoly
+
+    calls = Counter()
+    for name in ("newton_correction", "refined_values", "_newton", "_to_fixed"):
+
+        def counting(*args, _name=name, _f=getattr(unipoly, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(unipoly, name, counting)
+    sol = eigenpoints(random_tensor(2, 5, seed=1), seed=0)
+    assert sol.certified and sol.charts_solved == ["x0=1"]
+    floating = sum(1 for p, _ in sol.points if not p.exact)
+    assert floating > 6
+    assert calls["newton_correction"] == 0
+    assert calls["refined_values"] == calls["_newton"] == floating
+    # p_sq, g_1 and p_sq' are converted for the chart, not for each root
+    assert calls["_to_fixed"] <= 6
+
+
 def test_fermat_golden_15(fermat_solution):
     sol = fermat_solution
     assert sol.certified
