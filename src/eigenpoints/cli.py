@@ -72,7 +72,7 @@ def _manifest(args, inputs, seeds, started) -> dict:
         "inputDigests": {p: _digest(p) for p in inputs},
         "seeds": seeds,
         "toolVersion": f"eigenpoints {__version__}",
-        "timingSeconds": round(time.time() - started, 6),
+        "timingSeconds": round(time.perf_counter() - started, 6),
     }
 
 
@@ -87,7 +87,7 @@ def _emit(args, report: dict, out_payload: str | None):
 
 
 def cmd_solve(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     tensor = _load_tensor(args.tensor)
     solution = eigenpoints(tensor, seed=args.seed)
     points = solution.to_json()
@@ -117,7 +117,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     points, _ = _load_points(args.points)
     expected = expected_count(points.n, args.degree)
     decision = reconstruction.is_eigenscheme(
@@ -146,7 +146,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enlarge(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     points, _ = _load_points(args.points)
     if points.n != 3:
         raise CliError("enlarge expects points in P^3")
@@ -188,7 +188,7 @@ def cmd_enlarge(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     points, _ = _load_points(args.points)
     d = args.degree
     collinear, witness = configuration.max_collinear(points)
@@ -228,7 +228,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     try:
         report = lattice.identity_report(args.n, args.d)
         lat, lines = lattice.cubic_surface_lattice()
@@ -252,7 +252,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_fermat(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     tensor = fermat_tensor(args.n, args.d)
     payload = _dump(tensor.to_json())
     report = {

@@ -1,11 +1,14 @@
 """Exact rational matrices.
 
-Rank and kernel come from ``modular.kernel``: the reduced-echelon kernel
-basis, lifted from word-size primes and checked exactly over Q.  The basis
-is canonical and the rank is exact: no thresholds anywhere.  Entries may be
-ints or rationals; int entries stay ints, so rows of ints go straight to
-``modular.kernel`` with only their content removed, and only rows holding
-rationals have denominators to clear.
+The kernel comes from ``modular.kernel``: the reduced-echelon kernel basis,
+lifted from word-size primes and checked exactly over Q.  The basis is
+canonical and the rank is exact: no thresholds anywhere.  The rank is first
+read from one modular image (``modular.rank``), a proved lower bound; when
+that image is full, min(rows, cols), it is the rank and nothing is lifted,
+else the rank is cols minus the size of the lifted kernel.  Entries may be
+ints or rationals; int entries stay ints, so rows of ints go to ``modular``
+with only their content removed, and only rows holding rationals have
+denominators to clear.
 """
 
 from __future__ import annotations
@@ -51,14 +54,24 @@ class ExactMatrix:
         """The rows with denominators cleared and content removed; the kernel is unaffected."""
         out = []
         for row in self.entries:
-            if not all(type(x) is int for x in row):
+            try:
+                g = int_gcd(*row)
+            except TypeError:
+                # the row holds rationals: clear its denominators first
                 den = lcm(*(int(x.denominator) for x in row))
                 row = [int(x.numerator) * (den // int(x.denominator)) for x in row]
-            g = int_gcd(*row)
+                g = int_gcd(*row)
             out.append([v // g for v in row] if g > 1 else row)
         return out
 
+    def rank_bound(self) -> int:
+        """The rank of one modular image: a proved lower bound on the rank."""
+        return modular.rank(self._integer_rows(), self.cols)
+
     def rank(self) -> int:
+        bound = self.rank_bound()
+        if bound == min(self.rows, self.cols):
+            return bound
         return self.cols - len(self.right_kernel())
 
     def right_kernel(self):

@@ -5,6 +5,8 @@ modulo word-size primes with numpy, the images are lifted to Q by Chinese
 remaindering and rational reconstruction (Monagan, ISSAC 2004), and a lift
 is accepted only once it passes an exact check over Q.  ``groebner.fglm``
 lifts Krylov data this way; ``kernel`` lifts reduced-echelon kernel bases.
+``rank`` lifts nothing: the rank of one image is a proved lower bound on the
+rank over Q.
 """
 
 from __future__ import annotations
@@ -134,6 +136,42 @@ class _Lift:
             else:
                 self.guess = lifted
         return None
+
+
+def rank(int_rows: list, cols: int) -> int:
+    """The rank of the integer rows of A modulo one prime q below 2**31.
+
+    A proved lower bound on the rank over Q: a minor that vanishes over Q
+    vanishes modulo q, so rank(A mod q) <= rank(A).  Forward elimination
+    only, with no back-substitution and no row scaling.  The rows below a
+    pivot lose a multiple f of the pivot row, with f and the pivot row
+    reduced below q; the rest is reduced only when it is read, which is
+    safe because an entry loses at most cols such products, and
+    q < 2**_prime_bits(cols) keeps cols q**2 below 2**62.
+    """
+    q = next(_primes(_prime_bits(cols)))
+    try:
+        a = np.array(int_rows, dtype=np.int64).reshape(len(int_rows), cols) % q
+    except OverflowError:
+        a = (np.array(int_rows, dtype=object).reshape(len(int_rows), cols) % q).astype(np.int64)
+    r = 0
+    for c in range(cols):
+        if r == a.shape[0]:
+            break
+        col = a[r:, c] % q
+        nz = col.nonzero()[0]
+        if not nz.size:
+            continue
+        p = nz[0]
+        pivot = a[r + p, c:] % q
+        if p:
+            # row r, zero in column c, moves into the pivot row's place
+            a[r + p, c:] = a[r, c:]
+            col[p] = 0
+        f = col[1:] * pow(int(pivot[0]), -1, q) % q
+        a[r + 1 :, c:] -= f[:, None] * pivot
+        r += 1
+    return r
 
 
 def kernel(int_rows: list, cols: int) -> list:

@@ -70,30 +70,43 @@ class TensorSpaceBasis:
 
 
 class KernelReport:
-    """Kernel of the point-containment conditions on tensor space."""
+    """Kernel of the point-containment conditions on tensor space.
+
+    ``dimension`` is the kernel's dimension.  ``kernel_vectors``, its
+    reduced-echelon basis, is either given or lifted through
+    ``ExactMatrix.right_kernel`` the first time it is read: a NO proved from
+    a modular image knows the dimension and never needs the vectors.
+    """
 
     def __init__(
         self,
         basis,
-        kernel_vectors,
+        dimension,
         degenerate_dim,
         symmetric,
-        sym_dim,
-        numeric,
+        vectors,
+        numeric=False,
         rationalized=False,
     ):
         self.basis = basis
-        self.kernel_vectors = kernel_vectors
-        self.dimension = len(kernel_vectors)
+        self.dimension = dimension
+        # a list of vectors, or the zero-argument call that lifts them
+        self._vectors = vectors
         self.degenerate_dimension = degenerate_dim
-        self.contains_proper_tensor = self.dimension > degenerate_dim
+        self.contains_proper_tensor = dimension > degenerate_dim
         self.symmetric = symmetric
-        self.symmetric_subspace_dimension = sym_dim
+        self.symmetric_subspace_dimension = dimension if symmetric else None
         self.numeric = numeric
         # numeric kernels of real configurations are rational subspaces;
         # when the echelon basis rationalizes and re-verifies, exact
         # operations (membership, witness draws) become available
         self.rationalized = rationalized
+
+    @property
+    def kernel_vectors(self):
+        if callable(self._vectors):
+            self._vectors = self._vectors()
+        return self._vectors
 
     @property
     def exact_vectors_available(self) -> bool:
@@ -174,6 +187,23 @@ def degenerate_subspace(n: int, d: int):
     return out
 
 
+def degenerate_dimension(n: int, d: int, symmetric: bool = False) -> int:
+    """The dimension of the degenerate tensors, or of those that are gradients.
+
+    The tensors (x_0 h, ..., x_n h) form a space of dimension C(n+d-2, n).
+    One is the gradient of f exactly when h = c q^((d-2)/2), q = sum x_i^2,
+    so the symmetric dimension is 1 for even d and 0 for odd d.  By the
+    Euler relation d f = q h, and d_i f = x_i h then gives
+    q d_i h = (d-2) x_i h.  For d > 2 and h != 0, q is irreducible in n+1 >= 3
+    variables and divides x_i h, so h = q h' where h' satisfies the same
+    relation for d-2; at degree 1 it would factor q, so h = 0 for odd d.
+    Conversely q^(d/2) is the f of even d.
+    """
+    if symmetric:
+        return 1 - d % 2
+    return comb(n + d - 2, n)
+
+
 def _symmetry_rows(basis: TensorSpaceBasis):
     """Exactness conditions d_j g_i = d_i g_j as rows over tensor space."""
     n, d = basis.n, basis.d
@@ -195,24 +225,26 @@ def eigenscheme_kernel(points, n: int, d: int, symmetric: bool = False) -> Kerne
 
     With the symmetric flag the kernel is intersected with the exactness
     subspace (tuples that are gradients); the degenerate dimension is then
-    the dimension of the degenerate tensors surviving that intersection.
+    the dimension of the degenerate tensors that are gradients.
+
+    The degenerate tensors always lie in the kernel, and the rank of one
+    modular image is at most the rank over Q.  So when the image leaves a
+    kernel of the degenerate dimension, that is the kernel's dimension, and
+    the vectors are lifted only if they are read.  Otherwise the kernel is
+    lifted at once.
     """
     pts = _point_list(points, n)
     basis = TensorSpaceBasis(n, d)
     if pts and not all(p.exact for p in pts):
         return _numeric_kernel(pts, basis, symmetric)
     matrix = containment_system(pts, n, d)
-    sym_dim = None
     if symmetric:
-        rows = matrix.entries + _symmetry_rows(basis)
-        matrix = ExactMatrix(rows)
+        matrix = ExactMatrix(matrix.entries + _symmetry_rows(basis))
+    degenerate_dim = degenerate_dimension(n, d, symmetric)
+    if matrix.cols - matrix.rank_bound() == degenerate_dim:
+        return KernelReport(basis, degenerate_dim, degenerate_dim, symmetric, matrix.right_kernel)
     kernel = matrix.right_kernel()
-    if symmetric:
-        sym_dim = len(kernel)
-        degenerate_dim = _span_intersection_dim(degenerate_subspace(n, d), kernel)
-    else:
-        degenerate_dim = comb(n + d - 2, n)
-    return KernelReport(basis, kernel, degenerate_dim, symmetric, sym_dim, numeric=False)
+    return KernelReport(basis, len(kernel), degenerate_dim, symmetric, kernel)
 
 
 def _numeric_kernel(pts, basis: TensorSpaceBasis, symmetric: bool) -> KernelReport:
@@ -243,42 +275,20 @@ def _numeric_kernel(pts, basis: TensorSpaceBasis, symmetric: bool) -> KernelRepo
     rank = int(np.sum(s > tol))
     kernel = [vh[k].conj() for k in range(rank, vh.shape[0])]
     rational_kernel = _rationalize_kernel(kernel, m) if kernel else []
+    degenerate_dim = degenerate_dimension(n, d, symmetric)
     if rational_kernel:
-        if symmetric:
-            degenerate_dim = _span_intersection_dim(
-                degenerate_subspace(n, d), rational_kernel
-            )
-        else:
-            degenerate_dim = comb(n + d - 2, n)
-        sym_dim = len(rational_kernel) if symmetric else None
         return KernelReport(
             basis,
-            rational_kernel,
+            len(rational_kernel),
             degenerate_dim,
             symmetric,
-            sym_dim,
+            rational_kernel,
             numeric=True,
             rationalized=True,
         )
-    degenerate_dim = _numeric_degenerate_intersection_dim(basis, kernel, symmetric)
-    sym_dim = len(kernel) if symmetric else None
     return KernelReport(
-        basis, [list(v) for v in kernel], degenerate_dim, symmetric, sym_dim, numeric=True
+        basis, len(kernel), degenerate_dim, symmetric, [list(v) for v in kernel], numeric=True
     )
-
-
-def _numeric_degenerate_intersection_dim(basis, kernel, symmetric):
-    n, d = basis.n, basis.d
-    if not symmetric:
-        return comb(n + d - 2, n)
-    if not kernel:
-        return 0
-    degenerate = [[float(x) for x in v] for v in degenerate_subspace(n, d)]
-    stacked = np.array(degenerate + [list(v) for v in kernel], dtype=complex)
-    s = np.linalg.svd(stacked, compute_uv=False)
-    tol = 1e-8 * (s[0] if len(s) and s[0] > 0 else 1.0)
-    union = int(np.sum(s > tol))
-    return len(degenerate) + len(kernel) - union
 
 
 def _rationalize_kernel(kernel, matrix, den_bound: int = 10**6, tol: float = 1e-6):
@@ -319,13 +329,6 @@ def _rationalize_kernel(kernel, matrix, den_bound: int = 10**6, tol: float = 1e-
             return None
         out.append(vec)
     return out
-
-
-def _span_intersection_dim(span_a, span_b) -> int:
-    """dim(span_a intersect span_b) = |A| + |B| - dim(A + B), for independent A and B."""
-    if not span_a or not span_b:
-        return 0
-    return len(span_a) + len(span_b) - ExactMatrix(list(span_a) + list(span_b)).transpose().rank()
 
 
 def in_kernel_span(report: KernelReport, tensor: PartialSymTensor) -> bool:
@@ -374,9 +377,11 @@ def is_eigenscheme(
 
     YES requires a verified witness: a random kernel element beyond the
     degenerate subspace whose forward solve certifies and reproduces the
-    input exactly.  NO is returned when the exact kernel is degenerate-only;
-    on floating input the kernel dimension is a numeric rank, which proves
-    no NO.  Everything else is UNDECIDED, with diagnostics.
+    input exactly.  NO is returned when the exact kernel is degenerate-only,
+    which its dimension alone proves: mostly from one modular image, with
+    no kernel vector lifted (``eigenscheme_kernel``).  On floating input the
+    kernel dimension is a numeric rank, which proves no NO.  Everything else
+    is UNDECIDED, with diagnostics.
     """
     pts = _point_list(points, n)
     report = eigenscheme_kernel(pts, n, d, symmetric)

@@ -58,3 +58,19 @@ def fermat_solution():
     from eigenpoints.tensors import fermat_tensor
 
     return eigenpoints(fermat_tensor(3, 3), seed=0)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """One entry per modular.kernel call: every kernel lift the test makes."""
+    from eigenpoints import modular
+
+    calls = []
+    kernel = modular.kernel
+
+    def counting(int_rows, cols):
+        calls.append(cols)
+        return kernel(int_rows, cols)
+
+    monkeypatch.setattr(modular, "kernel", counting)
+    return calls

@@ -158,3 +158,9 @@ def test_manifest_written(fermat_files):
         manifest = json.load(fh)
     assert "inputDigests" in manifest
     assert manifest["seeds"]["seed"] == 0
+
+
+def test_json_report_times_the_command(capsys):
+    assert run(["fermat", "--n", "2", "--d", "3", "--json"]) == 0
+    timing = json.loads(capsys.readouterr().out)["manifest"]["timingSeconds"]
+    assert isinstance(timing, float) and timing >= 0

@@ -196,3 +196,37 @@ def test_kernel_rejects_a_lift_that_fails_the_exact_check(monkeypatch):
     monkeypatch.setattr(modular, "_Lift", SpoiledOnce)
     assert modular.kernel(rows, 3) == reference
     assert spoiled
+
+
+@pytest.mark.parametrize("bits", [2, 80])
+def test_rank_from_the_image_or_the_lifted_kernel(kernel_calls, bits):
+    rng = random.Random(100 + bits)
+    full = deficient = 0
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        entries = _random_rows(rng, nrows, ncols, bits)
+        before = len(kernel_calls)
+        rank = ExactMatrix(entries).rank()
+        assert rank == _oracle_rank(entries)
+        if rank == min(nrows, ncols):
+            # a full image proves full rank: nothing is lifted
+            assert len(kernel_calls) == before
+            full += 1
+        else:
+            assert len(kernel_calls) == before + 1
+            deficient += 1
+    assert full and deficient
+
+
+@pytest.mark.parametrize("fault", ["rank", "pivot"])
+def test_rank_bound_on_an_unlucky_prime(monkeypatch, kernel_calls, fault):
+    bad = 1_000_003
+    m = ExactMatrix(_unlucky_rows(fault, bad))
+    assert m.rank_bound() == m.rank() == 4
+    primes = modular._primes
+    monkeypatch.setattr(modular, "_primes", lambda bits: chain([bad], primes(bits)))
+    # a lost pivot leaves a smaller bound and the lifted kernel the rank;
+    # a moved pivot keeps the full image, which is still the rank
+    assert m.rank_bound() == (3 if fault == "rank" else 4)
+    assert m.rank() == 4
+    assert len(kernel_calls) == (1 if fault == "rank" else 0)

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
+from eigenpoints import modular
 from eigenpoints import reconstruction as R
 from eigenpoints.exact_linalg import ExactMatrix
 from eigenpoints.groebner import EliminationError
@@ -12,7 +13,7 @@ from eigenpoints.rationals import rational
 from eigenpoints.solver import eigenpoints
 from eigenpoints.tensors import fermat_tensor
 
-from conftest import SEEDS, random_tensor
+from conftest import FERMAT_15, SEEDS, random_tensor
 
 
 def _random_points(n, count, seed, box=20):
@@ -113,6 +114,77 @@ def test_kernel_equals_the_all_pairs_fraction_kernel(n, d, count, symmetric):
     oracle = ExactMatrix(_all_pairs_fraction_rows(pts, n, d, symmetric)).right_kernel()
     rep = R.eigenscheme_kernel(pts, n, d, symmetric=symmetric)
     assert rep.kernel_vectors == oracle
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 5)])
+def test_degenerate_dimension_is_the_exact_intersection(n, d):
+    # the degenerate tensors that are gradients, from the rank of the
+    # degenerate subspace stacked with the gradients (the symmetry kernel)
+    gradients = ExactMatrix(R._symmetry_rows(R.TensorSpaceBasis(n, d))).right_kernel()
+    degenerate = R.degenerate_subspace(n, d)
+    union = ExactMatrix(degenerate + gradients).rank()
+    assert R.degenerate_dimension(n, d) == len(degenerate)
+    assert R.degenerate_dimension(n, d, symmetric=True) == len(degenerate) + len(gradients) - union
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_no_needs_no_lift(kernel_calls, symmetric):
+    pts = _random_points(3, 40, seed=4, box=25)
+    dec = R.is_eigenscheme(pts, 3, 4, symmetric=symmetric)
+    assert kernel_calls == []
+    # the decision and the kernel report as before the image proved them
+    assert dec["decision"] == "NO"
+    assert dec["seeds_used"] == [] and dec["diagnostics"] == []
+    assert dec["kernel"] == {
+        "dimension": 1 if symmetric else 10,
+        "degenerateDimension": 1 if symmetric else 10,
+        "containsProperTensor": False,
+        "symmetric": symmetric,
+        "symmetricSubspaceDimension": 1 if symmetric else None,
+        "numeric": False,
+        "rationalized": False,
+    }
+    # the vectors are lifted once, when first read
+    rep = R.eigenscheme_kernel(pts, 3, 4, symmetric=symmetric)
+    assert kernel_calls == []
+    vectors = rep.kernel_vectors
+    assert len(vectors) == rep.dimension
+    assert rep.kernel_vectors is vectors and len(kernel_calls) == 1
+
+
+def _nudged_fermat_points(q):
+    """The Fermat (3,3) eigenpoints with (1,1,1,1) moved to (1,1,1,1+q): no
+    proper tensor over Q, the Fermat set modulo q."""
+    coords = FERMAT_15[:-1] + [(1, 1, 1, 1 + q)]
+    return [ProjectivePoint([rational(x) for x in c]) for c in coords]
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_unlucky_first_prime_keeps_the_decision_and_the_kernel(
+    monkeypatch, kernel_calls, symmetric
+):
+    bad = 1_000_003
+    pts = _nudged_fermat_points(bad)
+    rows = R.containment_system(pts, 3, 3).entries
+    if symmetric:
+        rows = rows + R._symmetry_rows(R.TensorSpaceBasis(3, 3))
+    matrix = ExactMatrix(rows)
+    rank = matrix.rank()
+    reference = R.eigenscheme_kernel(pts, 3, 3, symmetric)
+    vectors = reference.kernel_vectors
+    decision = R.is_eigenscheme(pts, 3, 3, symmetric=symmetric)
+    assert decision["decision"] == "NO"
+    assert reference.dimension == len(vectors) == matrix.cols - rank
+    primes = modular._primes
+    monkeypatch.setattr(modular, "_primes", lambda bits: chain([bad], primes(bits)))
+    # the first prime under-ranks, so the image proves nothing
+    assert matrix.rank_bound() < rank
+    lifts = len(kernel_calls)
+    rep = R.eigenscheme_kernel(pts, 3, 3, symmetric)
+    assert len(kernel_calls) == lifts + 1
+    assert rep.to_json() == reference.to_json()
+    assert rep.kernel_vectors == vectors
+    assert R.is_eigenscheme(pts, 3, 3, symmetric=symmetric) == decision
 
 
 def test_containment_system_builds_in_ints(monkeypatch):
