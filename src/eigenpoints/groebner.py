@@ -9,12 +9,25 @@ also finds the rational univariate representation x_i = g_i(z) / p_sq'(z),
 p_sq the square-free part of p.  Both come from Krylov sequences modulo
 word-size primes, lifted to Q with the primes and the reconstruction of
 ``modular`` and checked there exactly before they are returned.
+
+Buchberger, the staircase and the multiplication matrices run on packed
+monomials (``_kernel_py``): in k variables x^e is the one integer
+deg(e) 2^(16k) - sum_j e_j 2^(16j), so a product of monomials is one
+addition, a grevlex comparison one integer comparison and a divisibility
+test one subtraction against a guard bit per field.  Generators are packed
+once on entry, and a basis is a list of dicts keyed by these integers; only
+the staircase is decoded to exponent tuples.  The encoding holds while no
+degree reaches ``_kernel_py.DEGREE_BOUND`` = 2^15: a generator, an S-pair
+or a staircase that would reach it raises EliminationError.  The matrices
+come out in integers, one denominator per column, as the reductions give
+them, and FGLM reads them without a rational per entry.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from itertools import chain, islice
+from functools import cached_property
+from heapq import heapify, heappop
+from itertools import chain, islice, product
 from math import gcd as int_gcd
 from math import lcm
 
@@ -23,7 +36,7 @@ import numpy as np
 from . import _kernel_py as K
 from . import modular, unipoly
 from .multipoly import Polynomial
-from .rationals import ZERO, rational
+from .rationals import rational
 
 
 class EliminationError(RuntimeError):
@@ -37,25 +50,30 @@ class PositiveDimensionalError(EliminationError):
 # -- conversions ------------------------------------------------------------
 
 
-def poly_to_intdict(p: Polynomial) -> dict:
-    """Clear denominators and strip content; scaling is irrelevant to ideals."""
-    if p.is_zero():
-        return {}
-    den = 1
-    for c in p.terms.values():
-        d = c.denominator
-        den = den * d // int_gcd(den, d)
-    out = {m: int(c * den) for m, c in p.terms.items()}
+def poly_to_intdict(p, packing: K.Packing) -> dict:
+    """Clear denominators, strip content and pack; scaling is irrelevant to ideals.
+
+    ``p`` is a Polynomial or a dict of exponent tuples to integers.  Raises
+    EliminationError on a term of degree ``K.DEGREE_BOUND`` or more.
+    """
+    terms = p.terms if isinstance(p, Polynomial) else p
+    den = lcm(*(c.denominator for c in terms.values()))
+    out = {}
+    for m, c in terms.items():
+        if sum(m) >= K.DEGREE_BOUND:
+            raise EliminationError(f"a generator has degree {sum(m)} >= {K.DEGREE_BOUND}")
+        out[packing.pack(m)] = c.numerator * (den // c.denominator)
     return K.strip_content(out)
 
 
 def intdict_to_poly(d: dict, nvars: int) -> Polynomial:
-    return Polynomial(nvars, {m: rational(c) for m, c in d.items()})
+    packing = K.Packing(nvars)
+    return Polynomial(nvars, {packing.unpack(m): rational(c) for m, c in d.items()})
 
 
 def _prepared(g: dict):
-    lm, lc = K.leading_term(g)
-    return (lm, lc, g)
+    lm = max(g)
+    return (lm, g[lm], g)
 
 
 # -- Buchberger -------------------------------------------------------------
@@ -65,83 +83,78 @@ def buchberger(polys, nvars: int, max_reductions: int = 200_000):
     """Reduced grevlex basis of the ideal generated by ``polys``.
 
     Returns a list of content-free integer term dicts with positive leading
-    coefficients, tail-reduced and sorted by leading monomial.
+    coefficients, tail-reduced and sorted by leading monomial.  Their keys
+    are the packed monomials of ``K.Packing(nvars)`` (see ``_kernel_py``);
+    ``intdict_to_poly`` decodes one.  Raises EliminationError when a
+    generator, or the lcm of a pair to be reduced, reaches degree
+    ``K.DEGREE_BOUND``.
     """
-    gens = []
-    for p in polys:
-        d = poly_to_intdict(p) if isinstance(p, Polynomial) else K.strip_content(dict(p))
-        if d:
-            gens.append(d)
+    packing = K.Packing(nvars)
+    guard, plcm, divides = packing.guard, packing.lcm, packing.divides
+    gens = [d for d in (poly_to_intdict(p, packing) for p in polys) if d]
     if not gens:
         raise EliminationError("all generators are zero")
 
     basis: list[dict] = []       # every accepted polynomial, used for reduction
     prepared: list[tuple] = []   # (lm, lc, terms) triples aligned with basis
     active: list[int] = []       # indices that still generate pairs
-    pairs: list = []             # min-heap of (order key of lcm, i, j)
-
-    def lm(i):
-        return prepared[i][0]
+    pairs: list = []             # min-heap of (lcm, i, j): the lcm is its own order key
 
     def add_poly(h: dict):
         """Gebauer-Moeller update of the pair set with the new polynomial."""
         ih = len(basis)
         basis.append(h)
         prepared.append(_prepared(h))
-        lmh = lm(ih)
+        lmh = prepared[ih][0]
         # candidate pairs (g, ih), grouped by their lcm
         groups: dict = {}
         for g in active:
-            groups.setdefault(K.mono_lcm(lmh, lm(g)), []).append(g)
+            groups.setdefault(plcm(lmh, prepared[g][0]), []).append(g)
         # M criterion: drop groups whose lcm is properly divisible by another
         lcms = list(groups)
         surviving = [
-            l1
-            for l1 in lcms
-            if not any(l2 != l1 and K.mono_divides(l2, l1) for l2 in lcms)
+            l1 for l1 in lcms if not any(l2 != l1 and divides(l2, l1) for l2 in lcms)
         ]
         # F + first Buchberger criterion: one pair per lcm, none if a
-        # coprime-lead pair produces that lcm
+        # coprime-lead pair produces that lcm (coprime leads: lcm = product)
         new_pairs = []
         for l1 in surviving:
             members = groups[l1]
-            if any(_coprime(lmh, lm(g)) for g in members):
+            if any(l1 == lmh + prepared[g][0] for g in members):
                 continue
-            new_pairs.append((min(members), ih))
+            new_pairs.append((l1, min(members), ih))
         # prune old pairs killed by the new leading monomial
-        survivors = []
-        while pairs:
-            key, i, j = heappop(pairs)
-            lij = K.mono_lcm(lm(i), lm(j))
-            if (
-                K.mono_divides(lmh, lij)
-                and K.mono_lcm(lm(i), lmh) != lij
-                and K.mono_lcm(lmh, lm(j)) != lij
-            ):
-                continue
-            survivors.append((key, i, j))
-        for entry in survivors:
-            heappush(pairs, entry)
-        for i, j in new_pairs:
-            lij = K.mono_lcm(lm(i), lm(j))
-            heappush(pairs, (K.order_key(lij), i, j))
+        survivors = [
+            (lij, i, j)
+            for lij, i, j in pairs
+            if not (
+                divides(lmh, lij)
+                and plcm(prepared[i][0], lmh) != lij
+                and plcm(lmh, prepared[j][0]) != lij
+            )
+        ]
+        survivors.extend(new_pairs)
+        heapify(survivors)
+        pairs[:] = survivors
         # retire active members whose lead the newcomer divides
-        active[:] = [g for g in active if not K.mono_divides(lmh, lm(g))]
+        active[:] = [g for g in active if not divides(lmh, prepared[g][0])]
         active.append(ih)
 
-    for g in sorted(gens, key=lambda d: K.order_key(K.leading_term(d)[0])):
-        r, _ = K.reduce_full(g, prepared)
+    for g in sorted(gens, key=max):
+        r, _ = K.reduce_full(g, prepared, guard)
         r = K.strip_content(r)
         if r:
             add_poly(r)
 
     reductions = 0
     while pairs:
-        _, i, j = heappop(pairs)
-        s = K.spoly(*prepared[i], *prepared[j])
+        lij, i, j = heappop(pairs)
+        if lij > packing.limit:
+            raise EliminationError(f"an S-pair reaches degree {K.DEGREE_BOUND}")
+        s = K.spoly(prepared[i], prepared[j], lij)
         if not s:
             continue
-        r, _ = K.reduce_full(s, prepared)
+        r, _ = K.reduce_full(s, prepared, guard)
         r = K.strip_content(r)
         if r:
             add_poly(r)
@@ -151,59 +164,44 @@ def buchberger(polys, nvars: int, max_reductions: int = 200_000):
 
     # interreduce: minimal leads, then tail reduction
     minimal = []
-    for i in sorted(active, key=lambda i: (K.order_key(lm(i)), i)):
-        if not any(K.mono_divides(lm(j), lm(i)) for j in minimal):
+    for i in sorted(active, key=lambda i: (prepared[i][0], i)):
+        if not any(divides(prepared[j][0], prepared[i][0]) for j in minimal):
             minimal.append(i)
     triples = [prepared[i] for i in minimal]
     reduced = []
     for pos, i in enumerate(minimal):
         others = triples[:pos] + triples[pos + 1 :]
-        r, _ = K.reduce_full(basis[i], others)
+        r, _ = K.reduce_full(basis[i], others, guard)
         reduced.append(K.strip_content(r))
-    reduced.sort(key=lambda d: K.order_key(K.leading_term(d)[0]))
+    reduced.sort(key=max)
     return reduced
-
-
-def _coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 # -- staircase --------------------------------------------------------------
 
 
 def quotient_basis(gb: list, nvars: int) -> list:
-    """Monomials under the staircase of a zero-dimensional grevlex basis.
+    """Exponent tuples under the staircase of a zero-dimensional grevlex basis.
 
     Raises PositiveDimensionalError when some variable has no pure power
     among the leading monomials (infinite staircase).
     """
-    leads = [K.leading_term(g)[0] for g in gb]
+    packing = K.Packing(nvars)
+    leads = [max(g) for g in gb]
+    monos = [packing.unpack(lead) for lead in leads]
     caps = []
     for i in range(nvars):
-        cap = None
-        for m in leads:
-            if all(e == 0 for k, e in enumerate(m) if k != i):
-                cap = m[i] if cap is None else min(cap, m[i])
-        if cap is None:
+        pure = [m[i] for m in monos if sum(m) == m[i]]
+        if not pure:
             raise PositiveDimensionalError(f"no pure power of variable {i} in the lead ideal")
-        caps.append(cap)
+        caps.append(min(pure))
     out = []
-    mono = [0] * nvars
-
-    def rec(i):
-        if i == nvars:
-            m = tuple(mono)
-            if not any(K.mono_divides(lead, m) for lead in leads):
-                out.append(m)
-            return
-        for e in range(caps[i] + 1):
-            mono[i] = e
-            rec(i + 1)
-        mono[i] = 0
-
-    rec(0)
-    out.sort(key=K.order_key)
-    return out
+    for m in product(*(range(cap + 1) for cap in caps)):
+        key = packing.pack(m)
+        if not any(packing.divides(lead, key) for lead in leads):
+            out.append((key, m))
+    out.sort()
+    return [m for _, m in out]
 
 
 # -- FGLM: rational univariate representation, lifted and checked over Q ---
@@ -227,14 +225,14 @@ class LexBasis:
     In shape position (deg p = D) ``squarefree`` is the square-free part p_sq
     of p, ``denominator`` its derivative, and ``numerators[i]`` the g_i with
     x_i = g_i(z) / p_sq'(z) at every point; otherwise they are None, None and
-    {}.  ``elements`` are ideal members that the exact check proved: p(z) and,
-    in shape position, (p / p_sq)(z) (p_sq'(z) x_i - g_i(z)) for every i.
+    {}.  ``elements``, built on first read, are ideal members that the exact
+    check proved: p(z) and, in shape position,
+    (p / p_sq)(z) (p_sq'(z) x_i - g_i(z)) for every i.
     """
 
-    def __init__(self, nvars, dimension, elements, eliminant, squarefree=None, numerators=None):
+    def __init__(self, nvars, dimension, eliminant, squarefree=None, numerators=None):
         self.nvars = nvars
         self.dimension = dimension
-        self.elements = elements
         self.eliminant = eliminant
         self.squarefree = squarefree
         self.denominator = unipoly.derivative(squarefree) if squarefree else None
@@ -243,28 +241,52 @@ class LexBasis:
     def in_shape_position(self) -> bool:
         return self.squarefree is not None
 
+    @cached_property
+    def elements(self) -> list:
+        nvars, last = self.nvars, self.nvars - 1
+        out = [unipoly.to_multipoly(self.eliminant, nvars, last)]
+        if not self.in_shape_position():
+            return out
+        cofactor = unipoly.exact_div(self.eliminant, self.squarefree)
+        z_scale = unipoly.to_multipoly(unipoly.mul(cofactor, self.denominator), nvars, last)
+        for i, g in self.numerators.items():
+            out.append(
+                z_scale * Polynomial.variable(i, nvars)
+                - unipoly.to_multipoly(unipoly.mul(cofactor, g), nvars, last)
+            )
+        return out
+
 
 def multiplication_matrices(gb: list, basis_monos: list, nvars: int):
-    """Columns of the multiplication-by-x_i operators on the quotient."""
+    """Columns of the multiplication-by-x_i operators on the quotient.
+
+    ``mats[i][k]`` is the column of x_i times ``basis_monos[k]``, as
+    (den, entries): the column is the integer vector with (row, entry)
+    pairs ``entries``, divided by den.  A reduction gives multiplier λ and
+    remainder r with λ x^m = r modulo the ideal, so den is λ over its gcd
+    with the content of r, the lcm of the column's reduced denominators.
+    """
+    packing = K.Packing(nvars)
+    keys = [packing.pack(b) for b in basis_monos]
+    if keys and packing.degree(max(keys)) + 1 >= K.DEGREE_BOUND:
+        raise EliminationError(f"the staircase reaches degree {K.DEGREE_BOUND}")
     prepared = [_prepared(g) for g in gb]
-    index = {m: k for k, m in enumerate(basis_monos)}
-    D = len(basis_monos)
+    index = {key: row for row, key in enumerate(keys)}
     mats = []
     cache = {}
     for i in range(nvars):
+        xi = packing.pack(tuple(int(k == i) for k in range(nvars)))
         cols = []
-        for b in basis_monos:
-            mm = tuple(e + (1 if k == i else 0) for k, e in enumerate(b))
+        for key in keys:
+            mm = key + xi
             if mm in index:
-                col = [ZERO] * D
-                col[index[mm]] = rational(1)
+                col = (1, [(index[mm], 1)])
             elif mm in cache:
                 col = cache[mm]
             else:
-                r, lam = K.reduce_full({mm: 1}, prepared)
-                col = [ZERO] * D
-                for m, c in r.items():
-                    col[index[m]] = rational(c, lam)
+                r, lam = K.reduce_full({mm: 1}, prepared, packing.guard)
+                g = int_gcd(lam, *r.values())
+                col = (lam // g, [(index[m], c // g) for m, c in r.items()])
                 cache[mm] = col
             cols.append(col)
         mats.append(cols)
@@ -275,15 +297,16 @@ class _IntColumns:
     """A rational matrix, given by its columns, as integers over one denominator.
 
     The matrix is A / ``den``; ``columns[j]`` lists the (row, entry) pairs of
-    the nonzero entries of column j of the integer matrix A.
+    the nonzero entries of column j of the integer matrix A.  It is built
+    from columns as ``multiplication_matrices`` gives them.
     """
 
     def __init__(self, cols: list, rows: int):
         self.rows = rows
-        self.den = lcm(*(int(c.denominator) for col in cols for c in col if c))
+        self.den = lcm(*(d for d, _ in cols))
         self.columns = [
-            [(r, int(c.numerator) * (self.den // int(c.denominator))) for r, c in enumerate(col) if c]
-            for col in cols
+            entries if d == self.den else [(r, a * (self.den // d)) for r, a in entries]
+            for d, entries in cols
         ]
 
     def apply(self, v: list) -> list:
@@ -402,9 +425,8 @@ def fglm(gb: list, nvars: int) -> LexBasis:
     """
     basis_monos = quotient_basis(gb, nvars)
     dim = len(basis_monos)
-    one = rational(1)
     if dim == 0:
-        return LexBasis(nvars, 0, [Polynomial.constant(nvars, one)], [one])
+        return LexBasis(nvars, 0, [rational(1)])
     mats = multiplication_matrices(gb, basis_monos, nvars)
     start = basis_monos.index((0,) * nvars)
     last = nvars - 1
@@ -427,9 +449,8 @@ def fglm(gb: list, nvars: int) -> LexBasis:
             break
     else:
         raise EliminationError("no checked eliminant within the prime budget")
-    elements = [unipoly.to_multipoly(p, nvars, last)]
     if rank < dim:
-        return LexBasis(nvars, dim, elements, p)
+        return LexBasis(nvars, dim, p)
 
     # shape position: the numerators g_i = h_i p_sq' mod p_sq
     sq = unipoly.squarefree_part(p)
@@ -455,13 +476,7 @@ def fglm(gb: list, nvars: int) -> LexBasis:
             break
     else:
         raise EliminationError("no checked univariate representation within the prime budget")
-    z_scale = unipoly.to_multipoly(scale, nvars, last)
-    for i, g in numerators.items():
-        elements.append(
-            z_scale * Polynomial.variable(i, nvars)
-            - unipoly.to_multipoly(unipoly.mul(cofactor, g), nvars, last)
-        )
-    return LexBasis(nvars, dim, elements, p, sq, numerators)
+    return LexBasis(nvars, dim, p, sq, numerators)
 
 
 def _rur_holds(krylov: _Krylov, mats: list, scale: list, cofactor: list, numerators: dict) -> bool:

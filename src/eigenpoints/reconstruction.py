@@ -340,15 +340,30 @@ def in_kernel_span(report: KernelReport, tensor: PartialSymTensor) -> bool:
 
 
 def _complement_vectors(report: KernelReport):
-    """Kernel basis vectors extending the degenerate subspace."""
-    rows = degenerate_subspace(report.basis.n, report.basis.d)
-    complement = []
-    for v in report.kernel_vectors:
-        trial = rows + [list(v)]
-        # rows stay independent, so v extends them exactly when trial is independent
-        if ExactMatrix(trial).transpose().rank() == len(trial):
-            rows = trial
-            complement.append(v)
+    """Kernel basis vectors extending the degenerate subspace.
+
+    The kernel vectors are taken greedily, each one that keeps the rows
+    independent.  A full-rank modular image proves independence, so a first
+    pass reads one image per trial and lifts no kernel; it stops once it has
+    the dimension - degenerate_dimension vectors that the complement needs.
+    Only when an unlucky image leaves it short is the choice made again
+    with the exact rank.
+    """
+    degenerate = degenerate_subspace(report.basis.n, report.basis.d)
+    need = report.dimension - report.degenerate_dimension
+    for exact in (False, True):
+        rows, complement = degenerate, []
+        for v in report.kernel_vectors:
+            if len(complement) == need:
+                break
+            trial = rows + [list(v)]
+            # rows stay independent, so v extends them exactly when trial is independent
+            matrix = ExactMatrix(trial).transpose()
+            if (matrix.rank() if exact else matrix.rank_bound()) == len(trial):
+                rows = trial
+                complement.append(v)
+        if len(complement) == need:
+            break
     return complement
 
 

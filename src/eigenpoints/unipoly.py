@@ -86,11 +86,26 @@ def exact_div(a: list, b: list) -> list:
 
 
 def evaluate(c: list, x):
-    """Horner evaluation; works for rational, float or complex x."""
-    total = ZERO if not isinstance(x, (float, complex)) else 0.0
+    """Horner evaluation; works for rational, float or complex x.
+
+    At rational x = a/b the value is sum_k c_k a^k b^(n-k) / b^n, n = deg c:
+    Horner runs on the integers L c_k, L the coefficients' common
+    denominator, and the exact rational is formed once at the end.
+    """
+    if isinstance(x, (float, complex)):
+        total = 0.0
+        for coef in reversed(c):
+            total = total * x + coef
+        return total
+    if not c:
+        return ZERO
+    a, b = x.numerator, x.denominator
+    den = math.lcm(*(coef.denominator for coef in c))
+    total, power = 0, 1
     for coef in reversed(c):
-        total = total * x + coef
-    return total
+        total = total * a + coef.numerator * (den // coef.denominator) * power
+        power *= b
+    return rational(total, den * b ** (len(c) - 1))
 
 
 def derivative(c: list) -> list:

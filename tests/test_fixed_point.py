@@ -62,7 +62,7 @@ def test_rur_point_raises_precision_where_the_denominator_is_small(e):
     eps = rational(1, 2**e)
     sq = [1 + eps * eps, rational(-2), rational(1)]
     g = [-2 - 2 * eps * eps, rational(2)]
-    lex = LexBasis(2, 2, [], sq, sq, {0: g})
+    lex = LexBasis(2, 2, sq, sq, {0: g})
     x, z = _rur_point(lex.squarefree, [g, lex.denominator], complex(1, 2.0**-e))
     assert abs(x - z) <= 2.0**-52
     assert abs(abs(x.imag) * 2.0**e - 1) < 1e-12

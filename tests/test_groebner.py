@@ -1,4 +1,5 @@
 from itertools import chain
+from math import gcd, lcm
 
 import pytest
 
@@ -30,14 +31,19 @@ def test_buchberger_grid():
     assert len(qb) == 4
 
 
+def _reduces_to_zero(p, gb):
+    packing = GB.K.Packing(p.nvars)
+    prepared = [GB._prepared(g) for g in gb]
+    r, _ = GB.K.reduce_full(GB.poly_to_intdict(p, packing), prepared, packing.guard)
+    return not r
+
+
 def test_buchberger_reduction_property():
     # every original generator reduces to zero against the basis
     polys = _grid_system_sheared()
     gb = GB.buchberger(polys, 2)
-    prepared = [GB._prepared(g) for g in gb]
     for p in polys:
-        r, _ = GB.K.reduce_full(GB.poly_to_intdict(p), prepared)
-        assert not r
+        assert _reduces_to_zero(p, gb)
 
 
 def test_fglm_shape_position():
@@ -111,29 +117,30 @@ def test_groebner_property_spolys_reduce_to_zero():
             gb = GB.buchberger(polys, 3)
         except GB.EliminationError:
             continue
+        packing = GB.K.Packing(3)
         prepared = [GB._prepared(g) for g in gb]
         for a, b in combinations(range(len(gb)), 2):
-            s = GB.K.spoly(*prepared[a], *prepared[b])
+            lcm = packing.lcm(prepared[a][0], prepared[b][0])
+            s = GB.K.spoly(prepared[a], prepared[b], lcm)
             if not s:
                 continue
-            r, _ = GB.K.reduce_full(s, prepared)
+            r, _ = GB.K.reduce_full(s, prepared, packing.guard)
             assert not r, f"trial {trial}: S-poly ({a},{b}) has nonzero normal form"
         # reduced basis: leading monomials pairwise non-divisible
         leads = [p[0] for p in prepared]
         for i, li in enumerate(leads):
             for j, lj in enumerate(leads):
                 if i != j:
-                    assert not GB.K.mono_divides(li, lj)
+                    assert not packing.divides(li, lj)
 
 
 def test_fglm_elements_lie_in_ideal():
     # every lex basis element must reduce to zero against the grevlex basis
     gb = GB.buchberger(_grid_system_sheared(), 2)
     lex = GB.fglm(gb, 2)
-    prepared = [GB._prepared(g) for g in gb]
+    assert "elements" not in vars(lex)  # built on first read only
     for p in lex.elements:
-        r, _ = GB.K.reduce_full(GB.poly_to_intdict(p), prepared)
-        assert not r
+        assert _reduces_to_zero(p, gb)
 
 
 def test_fglm_dimension_matches_sympy_oracle():
@@ -184,12 +191,6 @@ def _chart_basis(d, seed):
     return GB.buchberger(chart_system(random_tensor(3, d, seed), 0), 3)
 
 
-def _reduces_to_zero(p, gb):
-    prepared = [GB._prepared(g) for g in gb]
-    r, _ = GB.K.reduce_full(GB.poly_to_intdict(p), prepared)
-    return not r
-
-
 @pytest.mark.parametrize("d", [3, 4])
 def test_fglm_rur_relations_lie_in_ideal(d):
     # p(z) and every (p/p_sq)(z) (p_sq'(z) x_i - g_i(z)) reduce to zero against
@@ -237,7 +238,10 @@ def _smallest_prime_factor(n, skip=1):
 def _krylov_determinant(gb):
     # det [1, z, ..., z^(D-1)] of the quotient, by exact Gaussian elimination
     monos = GB.quotient_basis(gb, 3)
-    mz = GB.multiplication_matrices(gb, monos, 3)[2]
+    mz = [[rational(0)] * len(monos) for _ in monos]
+    for j, (den, entries) in enumerate(GB.multiplication_matrices(gb, monos, 3)[2]):
+        for r, a in entries:
+            mz[j][r] = rational(a, den)
     v = [rational(int(m == (0, 0, 0))) for m in monos]
     rows = []
     for _ in monos:
@@ -293,3 +297,74 @@ def test_non_reduced_point_through_squarefree_part():
     result = solve_zero_dimensional([x * x, y, z])
     assert result.solutions == [((rational(0),) * 3, 2)]
     assert any("not squarefree" in note for note in result.notes)
+
+
+def _primitive(p, xs):
+    # a sympy polynomial over Q as the content-free integer dict with positive lead
+    import sympy
+
+    poly = sympy.Poly(p, *xs)
+    _, prim = poly.clear_denoms()
+    prim = prim.primitive()[1]
+    if prim.LC(order="grevlex") < 0:
+        prim = -prim
+    return {m: int(c) for m, c in prim.terms()}
+
+
+@pytest.mark.parametrize(
+    "tensor",
+    [
+        lambda: random_tensor(2, 5, 17),
+        lambda: random_tensor(3, 3, 17),
+        lambda: fermat_tensor(3, 4).to_partial(),
+    ],
+    ids=["(2,5) seed 17", "(3,3) seed 17", "Fermat (3,4)"],
+)
+def test_buchberger_matches_sympy_grevlex(tensor):
+    sympy = pytest.importorskip("sympy")
+    t = tensor()
+    polys = chart_system(t, 0)
+    nvars = t.n
+    xs = sympy.symbols(f"x0:{nvars}")
+    expected = []
+    for p in polys:
+        e = 0
+        for mono, c in p.terms.items():
+            e += sympy.Rational(int(c.numerator), int(c.denominator)) * sympy.Mul(
+                *(x**k for x, k in zip(xs, mono))
+            )
+        expected.append(e)
+    reference = sympy.groebner(expected, *xs, order="grevlex")
+    ours = [GB.intdict_to_poly(g, nvars) for g in GB.buchberger(polys, nvars)]
+    assert sorted(sorted((m, int(c)) for m, c in p.terms.items()) for p in ours) == sorted(
+        sorted(_primitive(b, xs).items()) for b in reference.exprs
+    )
+
+
+def test_degree_guard_raises():
+    x, y = (Polynomial.variable(i, 2) for i in range(2))
+    one = Polynomial.constant(2, rational(1))
+    bound = GB.K.DEGREE_BOUND
+    with pytest.raises(GB.EliminationError, match="generator"):
+        GB.buchberger([x ** bound - one, y - one], 2)
+    # each generator is below the bound, but the lcm of their leads reaches it
+    half = bound // 2
+    with pytest.raises(GB.EliminationError, match="S-pair"):
+        GB.buchberger([x**half * y - one, x * y**half - one], 2)
+
+
+def test_multiplication_columns_over_their_least_denominator():
+    # each column's denominator is the lcm of its entries' reduced
+    # denominators, so it shares no factor with all of its numerators
+    gb = _chart_basis(3, 17)
+    monos = GB.quotient_basis(gb, 3)
+    mats = GB.multiplication_matrices(gb, monos, 3)
+    reduced = 0
+    for cols in mats:
+        for den, entries in cols:
+            assert den >= 1
+            assert gcd(den, *(a for _, a in entries)) == 1
+            reduced += den > 1
+    assert reduced  # the chart has columns that the reduction divides
+    mz = GB._IntColumns(mats[2], len(monos))
+    assert mz.den == lcm(*(den for den, _ in mats[2]))

@@ -455,3 +455,39 @@ def test_cardinality_mismatch_reported(fermat_solution):
     dec = R.is_eigenscheme(pts, 3, 3, seed=0)
     assert dec["decision"] in ("NO", "UNDECIDED")
     assert any("cardinality" in d for d in dec["diagnostics"])
+
+
+def _greedy_exact_complement(report):
+    # the selection with the exact rank at every trial
+    rows = R.degenerate_subspace(report.basis.n, report.basis.d)
+    complement = []
+    for v in report.kernel_vectors:
+        trial = rows + [list(v)]
+        if ExactMatrix(trial).transpose().rank() == len(trial):
+            rows = trial
+            complement.append(v)
+    return complement
+
+
+def test_complement_vectors_lift_no_kernel(kernel_calls):
+    yes_sets = [eigenpoints(random_tensor(3, 3, s), seed=0).point_set() for s in SEEDS]
+    enlarge_sets = [_random_points(3, 10, s, box=10) for s in SEEDS]
+    for pts in yes_sets + enlarge_sets:
+        report = R.eigenscheme_kernel(pts, 3, 3)
+        assert report.exact_vectors_available and report.contains_proper_tensor
+        report.kernel_vectors  # lift the kernel itself before counting
+        del kernel_calls[:]
+        complement = R._complement_vectors(report)
+        assert kernel_calls == []
+        assert len(complement) == report.dimension - report.degenerate_dimension
+        assert complement == _greedy_exact_complement(report)
+
+
+def test_complement_vectors_recover_from_an_unlucky_image(monkeypatch):
+    # an image that never shows full rank leaves the first pass short; the
+    # exact pass then picks the same vectors
+    pts = _random_points(3, 10, SEEDS[0], box=10)
+    report = R.eigenscheme_kernel(pts, 3, 3)
+    expected = _greedy_exact_complement(report)
+    monkeypatch.setattr(ExactMatrix, "rank_bound", lambda self: 0)
+    assert R._complement_vectors(report) == expected

@@ -84,3 +84,36 @@ def test_squarefree_part_certified_modulo_a_prime():
         assert U.is_squarefree(c)
         assert U.squarefree_part(c) == c
         assert U.squarefree_decomposition(c) == [(c, 1)]
+
+
+def _fraction_horner(c, x):
+    total = rational(0)
+    for coef in reversed(c):
+        total = total * x + coef
+    return total
+
+
+def test_evaluate_at_rationals_equals_fraction_horner():
+    import random
+
+    rng = random.Random(7)
+    for _ in range(300):
+        big = rng.choice([10, 10**6, 10**40])
+        c = U.trim([rational(rng.randint(-big, big), rng.randint(1, big)) for _ in range(rng.randint(0, 12))])
+        x = rng.choice(
+            [
+                rational(0),
+                rational(rng.randint(-9, 9)),
+                rng.randint(-9, 9),
+                rational(rng.randint(-big, big), rng.randint(1, big)),
+            ]
+        )
+        value = U.evaluate(c, x)
+        assert type(value) is type(rational(0))
+        assert value == _fraction_horner(c, x)
+    assert U.evaluate([], rational(3, 7)) == 0
+    assert U.evaluate([rational(5, 3)], 0) == rational(5, 3)
+    assert U.evaluate([1, 2, 3], 2) == 17  # int coefficients too
+    # float and complex x keep the floating loop
+    assert U.evaluate(P(1, 2, 3), 0.5) == 2.75
+    assert U.evaluate(P(1, 0, 1), 1j) == 0
