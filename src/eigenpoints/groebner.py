@@ -38,6 +38,9 @@ from . import modular, unipoly
 from .multipoly import Polynomial
 from .rationals import rational
 
+# the S-pair reductions after which ``buchberger`` gives up
+MAX_REDUCTIONS = 200_000
+
 
 class EliminationError(RuntimeError):
     pass
@@ -79,7 +82,7 @@ def _prepared(g: dict):
 # -- Buchberger -------------------------------------------------------------
 
 
-def buchberger(polys, nvars: int, max_reductions: int = 200_000):
+def buchberger(polys, nvars: int):
     """Reduced grevlex basis of the ideal generated by ``polys``.
 
     Returns a list of content-free integer term dicts with positive leading
@@ -159,7 +162,7 @@ def buchberger(polys, nvars: int, max_reductions: int = 200_000):
         if r:
             add_poly(r)
         reductions += 1
-        if reductions > max_reductions:
+        if reductions > MAX_REDUCTIONS:
             raise EliminationError("Buchberger reduction budget exceeded")
 
     # interreduce: minimal leads, then tail reduction

@@ -166,11 +166,12 @@ def containment_system(points, n: int, d: int) -> ExactMatrix:
 
 
 def _point_list(points, n):
-    if isinstance(points, PointSet):
-        if points.n != n:
-            raise ValueError("point set has wrong ambient dimension")
-        return list(points)
-    return list(points)
+    if isinstance(points, PointSet) and points.n != n:
+        raise ValueError("point set has wrong ambient dimension")
+    pts = list(points)
+    if any(p.n != n for p in pts):
+        raise ValueError("point has wrong ambient dimension")
+    return pts
 
 
 def degenerate_subspace(n: int, d: int):

@@ -4,10 +4,9 @@ Strategy: exact square-free decomposition fixes multiplicities; rational
 roots are recovered from numeric candidates by continued-fraction
 rationalization and verified exactly; the rest get start points from the
 companion-matrix eigensolver and one double-precision Newton step.
-``start_points`` returns those start points, which the solver refines once
-each against the exact eliminant (``unipoly.refined_values``);
-``univariate_roots`` polishes them against the exact polynomial with up to
-three ``unipoly.newton_correction`` steps.
+``univariate_roots`` returns those roots unrefined, for every level of the
+solve; the solver refines each floating one once against the exact
+eliminant (``unipoly.refined_values``).
 """
 
 from __future__ import annotations
@@ -18,6 +17,10 @@ import numpy as np
 
 from . import unipoly
 from .rationals import rational
+
+
+# the largest denominator a near-real root is rounded to before its exact check
+DEN_BOUND = 10**6
 
 
 class RootfindingError(ValueError):
@@ -45,18 +48,18 @@ def _horner(coeffs_f, x):
     return total
 
 
-def _rational_candidates(z, den_bound):
+def _rational_candidates(z):
     if abs(z.imag) > 1e-6 * (1.0 + abs(z)):
         return []
-    fr = Fraction(z.real).limit_denominator(den_bound)
+    fr = Fraction(z.real).limit_denominator(DEN_BOUND)
     return [rational(fr.numerator, fr.denominator)]
 
 
-def _roots_of_squarefree(factor, den_bound):
+def _roots_of_squarefree(factor):
     """Roots of an exact square-free polynomial, each with multiplicity one.
 
-    Returns the verified rational roots, the factor left once they are
-    divided out, and its roots as double-precision start points.
+    Returns the verified rational roots, then the roots of the factor left
+    once they are divided out, as double-precision start points.
     """
     work = list(factor)
     exact_roots = []
@@ -67,7 +70,7 @@ def _roots_of_squarefree(factor, den_bound):
         found = None
         for z in numeric:
             z = _newton_polish(coeffs_f, complex(z))
-            for cand in _rational_candidates(z, den_bound):
+            for cand in _rational_candidates(z):
                 if unipoly.evaluate(work, cand) == 0:
                     found = cand
                     break
@@ -82,23 +85,10 @@ def _roots_of_squarefree(factor, den_bound):
     if unipoly.deg(work) > 0:
         coeffs_f = _float_coeffs(work)
         starts = [_newton_polish(coeffs_f, complex(z)) for z in np.roots(list(reversed(coeffs_f)))]
-    return exact_roots, work, starts
+    return exact_roots + starts
 
 
-def _factor_roots(coeffs, den_bound):
-    """(multiplicity, exact roots, rest, start points) per square-free factor."""
-    c = unipoly.trim(list(coeffs))
-    if not c:
-        raise RootfindingError("zero polynomial has no well-defined roots")
-    if unipoly.deg(c) == 0:
-        return []
-    return [
-        (mult, *_roots_of_squarefree(factor, den_bound))
-        for factor, mult in unipoly.squarefree_decomposition(c)
-    ]
-
-
-def start_points(coeffs, den_bound: int = 10**6):
+def univariate_roots(coeffs):
     """The roots of an exact univariate polynomial with multiplicities, unrefined.
 
     Returns a list of (root, multiplicity): exact rationals where verified,
@@ -106,34 +96,14 @@ def start_points(coeffs, den_bound: int = 10**6):
     multiplicity total equals the degree.  Raises RootfindingError on the
     zero polynomial.
     """
+    c = unipoly.trim(list(coeffs))
+    if not c:
+        raise RootfindingError("zero polynomial has no well-defined roots")
+    if unipoly.deg(c) == 0:
+        return []
     out = []
-    for mult, exact, _, starts in _factor_roots(coeffs, den_bound):
-        out.extend((r, mult) for r in exact + starts)
-    return _sorted(out)
-
-
-def univariate_roots(coeffs, residual_tol: float = 1e-12, den_bound: int = 10**6):
-    """All complex roots of an exact univariate polynomial with multiplicities.
-
-    Returns a list of (root, multiplicity); roots are exact rationals when
-    verifiable, otherwise complex floats.  The multiplicity total equals the
-    degree.  Raises RootfindingError on the zero polynomial.
-    """
-    out = []
-    for mult, exact, rest, starts in _factor_roots(coeffs, den_bound):
-        out.extend((r, mult) for r in exact)
-        poly = unipoly.FixedPoly(rest)
-        for z in starts:
-            # Newton against the exact polynomial at high precision; the
-            # float companion matrix only provides the starting point
-            for _ in range(3):
-                step, residual = unipoly.newton_correction(poly, z)
-                if step is None:
-                    break
-                z = z - step
-                if residual <= residual_tol * max(1.0, abs(z)) ** unipoly.deg(rest):
-                    break
-            out.append((complex(z), mult))
+    for factor, mult in unipoly.squarefree_decomposition(c):
+        out.extend((r, mult) for r in _roots_of_squarefree(factor))
     return _sorted(out)
 
 
@@ -145,9 +115,3 @@ def _sort_float(r):
     if isinstance(r, complex):
         return r
     return complex(float(r), 0.0)
-
-
-def is_real(root, tol: float = 1e-8) -> bool:
-    if not isinstance(root, complex):
-        return True
-    return abs(root.imag) <= tol * (1.0 + abs(root))

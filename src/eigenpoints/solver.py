@@ -4,13 +4,12 @@ In the chart x_j = 1 the 2x2 minors collapse to the square system
 g_k - x_k g_j = 0 (k != j); the remaining eigenpoints lie on x_j = 0,
 where the eigenscheme is that of the restricted tensor cut by the
 restricted g_j, so the solver recurses into one lower projective
-dimension with g_j as one more equation.  Every chart of two or more
-unknowns goes through one engine: a grevlex basis, then the rational
-univariate representation that ``groebner.fglm`` checks exactly over Q,
-after a random separating shear with recorded seed when the unsheared
-chart is not in shape position.  Points with rational coordinates are
-produced exactly; the rest are complex doubles read off that checked
-representation.
+dimension with g_j as one more equation.  Every level, P^1 included,
+goes through one engine: a grevlex basis, then the rational univariate
+representation that ``groebner.fglm`` checks exactly over Q, after a
+random separating shear with recorded seed when the unsheared chart is not
+in shape position.  Points with rational coordinates are produced exactly;
+the rest are complex doubles read off that checked representation.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .counts import expected_count
 from .multipoly import Polynomial
 from .points import ProjectivePoint, point_from_json
 from .rationals import is_rational, rational
-from .roots import start_points, univariate_roots
+from .roots import univariate_roots
 from .tensors import EigenMatrix, PartialSymTensor, minor_ideal_generators
 
 RESIDUAL_TOL = 1e-8
@@ -150,7 +149,7 @@ class ChartResult:
         self.shear = shear
 
 
-def solve_zero_dimensional(system, rng=None, max_retries: int = SHEAR_RETRIES):
+def solve_zero_dimensional(system, rng=None):
     """All solutions of a zero-dimensional polynomial system.
 
     The system may have any number of unknowns and may be overdetermined.
@@ -165,15 +164,7 @@ def solve_zero_dimensional(system, rng=None, max_retries: int = SHEAR_RETRIES):
     nonzero = [p for p in system if not p.is_zero()]
     if not nonzero:
         return ChartResult([], positive_dimensional=True, notes=["all equations vanish"])
-    if k == 1:
-        coeffs = unipoly.from_multipoly(nonzero[0])
-        for p in nonzero[1:]:
-            coeffs = unipoly.gcd(coeffs, unipoly.from_multipoly(p))
-        if unipoly.deg(coeffs) <= 0:
-            return ChartResult([])
-        sols = [((r,), m) for r, m in univariate_roots(coeffs)]
-        return ChartResult(sols)
-    return _solve_by_elimination(nonzero, k, rng, max_retries)
+    return _solve_by_elimination(nonzero, k, rng)
 
 
 def _shear_sub(k: int, coeffs):
@@ -193,14 +184,14 @@ def _unshear(coords, coeffs):
     return tuple(rest) + (z,)
 
 
-def _solve_by_elimination(polys, k, rng, max_retries):
+def _solve_by_elimination(polys, k, rng):
     """Shear to shape position, grevlex basis, FGLM, univariate roots.
 
     When no shear tried puts the chart in shape position the chart gives
     no points, and its note says so; the solve then stays uncertified.
     """
     last_note = None
-    for attempt in range(max_retries + 1):
+    for attempt in range(SHEAR_RETRIES + 1):
         if attempt == 0:
             coeffs = [0] * (k - 1)
         else:
@@ -227,7 +218,7 @@ def _solve_by_elimination(polys, k, rng, max_retries):
             f" {lex.dimension}"
         )
     return ChartResult(
-        [], notes=[f"no separating shear found in {max_retries + 1} attempts ({last_note})"]
+        [], notes=[f"no separating shear found in {SHEAR_RETRIES + 1} attempts ({last_note})"]
     )
 
 
@@ -242,7 +233,7 @@ def _shape_back_substitute(lex, coeffs, k):
     squarefree = unipoly.FixedPoly(lex.squarefree)
     polys = [unipoly.FixedPoly(g) for g in numerators + [lex.denominator]]
     sols, notes = [], []
-    for z0, mult in start_points(lex.eliminant):
+    for z0, mult in univariate_roots(lex.eliminant):
         if is_rational(z0):
             den = unipoly.evaluate(lex.denominator, z0)
             coords = tuple(unipoly.evaluate(g, z0) / den for g in numerators) + (z0,)
@@ -280,12 +271,7 @@ def _rur_point(squarefree, polys, z0):
 # -- full eigenpoint enumeration --------------------------------------------
 
 
-def eigenpoints(
-    t,
-    seed: int = 0,
-    allow_large_n: bool = False,
-    max_retries: int = SHEAR_RETRIES,
-) -> EigenSolution:
+def eigenpoints(t, seed: int = 0, allow_large_n: bool = False) -> EigenSolution:
     """The complete eigenpoint set of a tensor, chart by chart.
 
     Solves the chart x_0 = 1; when the count falls short of the generic
@@ -306,9 +292,7 @@ def eigenpoints(
     shears = {}
     positive_dim = False
 
-    collected = _solve_projective(
-        t.slices, [], rng, charts, diagnostics, shears, "", expected, max_retries
-    )
+    collected = _solve_projective(t.slices, [], rng, charts, diagnostics, shears, "", expected)
     if collected is None:
         positive_dim = True
         collected = []
@@ -343,9 +327,7 @@ def eigenpoints(
     return EigenSolution(t.n, t.d, points, charts, certified, diagnostics, seed_info)
 
 
-def _solve_projective(
-    slices, filters, rng, charts, diagnostics, shears, prefix, budget, max_retries
-):
+def _solve_projective(slices, filters, rng, charts, diagnostics, shears, prefix, budget):
     """Points of E ∩ L: E the eigenscheme of ``slices``, L the zeros of ``filters``.
 
     A level in P^m solves its chart x_0 = 1 (x_0 names the first coordinate
@@ -355,9 +337,11 @@ def _solve_projective(
     tensor (g_1|, ..., g_m|) cut by the filter g_0|.  Each chart therefore
     solves the chart system with the dehomogenized filters appended, and
     that augmented system is E ∩ L in the chart, L the linear space of the
-    level.  On P^1 the forms' gcd is taken by the one-variable path, and
-    (0:1) has the least of their orders there, which is their degree drop
-    in the chart; on P^0 the point is a zero only when no filter remains.
+    level.  On P^1 the chart has one unknown, and the same engine takes the
+    forms' gcd: it is the grevlex basis, which ``fglm`` returns, checked, as
+    the eliminant.  (0:1) has the least of the forms' orders there, which is
+    their degree drop in the chart; on P^0 the point is a zero only when no
+    filter remains.
 
     For an isolated point p of E on L, O_{E∩L,p} is a quotient of O_{E,p},
     so the multiplicity reported for p, length(E ∩ L)_p, is at most
@@ -376,9 +360,9 @@ def _solve_projective(
 
     chart_name = f"{prefix}P1" if m == 1 else f"{prefix}x0=1"
     system = _chart_system(slices, 0) + [f.dehomogenize(0) for f in filters]
-    result = solve_zero_dimensional(system, rng, max_retries)
+    result = solve_zero_dimensional(system, rng)
     charts.append(chart_name)
-    if result.shear is not None:
+    if result.shear:
         shears[chart_name] = result.shear
     for note in result.notes:
         diagnostics.append(f"{chart_name}: {note}")
@@ -412,15 +396,7 @@ def _solve_projective(
     restricted = [g.restrict_zero(0) for g in slices[1:]]
     new_filters = [f.restrict_zero(0) for f in filters] + [slices[0].restrict_zero(0)]
     sub = _solve_projective(
-        restricted,
-        new_filters,
-        rng,
-        charts,
-        diagnostics,
-        shears,
-        prefix + "x0=0|",
-        None,
-        max_retries,
+        restricted, new_filters, rng, charts, diagnostics, shears, prefix + "x0=0|", None
     )
     if sub is None:
         return None

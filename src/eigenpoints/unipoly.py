@@ -135,12 +135,13 @@ def derivative(c: list) -> list:
 #
 # ``refined_values`` opens with a probe: one Horner evaluation of the
 # eliminant at the start point, _PROBE_BITS bits beyond its Horner loss, as
-# ``newton_correction`` makes.  The probe's Newton step moves the start
-# point, and its |p'| sets the working precision of the one full Newton
-# pass: that pass needs |p'| above its rounding noise by the bits wanted,
-# so each bit by which |p'| falls short costs one more bit of scale.  The
-# pass then reads |p'| again at the root it holds and raises the precision
-# once when the probe read it too large.
+# ``newton_correction`` makes (that function has no caller in the package
+# and is kept only for the benchmark's span list).  The probe's Newton step
+# moves the start point, and its |p'| sets the working precision of the one
+# full Newton pass: that pass needs |p'| above its rounding noise by the
+# bits wanted, so each bit by which |p'| falls short costs one more bit of
+# scale.  The pass then reads |p'| again at the root it holds and raises the
+# precision once when the probe read it too large.
 
 
 def _log2_bound(x) -> int:
@@ -407,10 +408,9 @@ def newton_correction(c, x: complex):
     ``_horner``): the residual to within 2**-126, and the step to within
     2**-128 (1 + |step|) before it is rounded to a complex, the precision
     being raised once when |p'(x)| turns out small.  Neither cancellation nor
-    coefficients outside the double range can spoil them.  Its caller is the
-    one-variable (P^1) path: ``roots.univariate_roots`` polishes its floating
-    roots with it, while the roots of a shape-position eliminant go to
-    ``refined_values`` unpolished.
+    coefficients outside the double range can spoil them.  Nothing in the
+    package calls it: every floating root is refined by ``refined_values``.
+    It is kept only because the benchmark's span list wraps it by name.
     """
     poly = _prepared(c)
     x = complex(x)
@@ -568,18 +568,6 @@ def squarefree_decomposition(c: list) -> list:
 
 def is_squarefree(c: list) -> bool:
     return _squarefree_mod(monic(c)) or deg(gcd(c, derivative(c))) == 0
-
-
-def from_multipoly(p) -> list:
-    """Convert a 1-variable Polynomial to a coefficient list."""
-    if p.nvars != 1:
-        raise ValueError("polynomial is not univariate")
-    if not p.terms:
-        return []
-    out = [ZERO] * (p.degree() + 1)
-    for (e,), coef in p.terms.items():
-        out[e] = coef
-    return trim(out)
 
 
 def to_multipoly(c: list, nvars: int = 1, var: int = 0):

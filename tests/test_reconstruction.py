@@ -427,6 +427,21 @@ def test_enlarge_bound_rejected():
         R.enlarge(pts, 3)
 
 
+@pytest.mark.parametrize("n", [4, 2])
+def test_point_list_of_wrong_dimension_rejected(n):
+    # a plain list is checked point by point, as a PointSet is: otherwise
+    # points of P^4 lose a coordinate against the monomials of P^3 and the
+    # kernel decides NO, and points of P^2 run out of coordinates
+    pts = list(_random_points(n, 15, seed=14))
+    for call in (
+        lambda: R.eigenscheme_kernel(pts, 3, 3),
+        lambda: R.is_eigenscheme(pts, 3, 3),
+        lambda: R.enlarge(pts[:10], 3),
+    ):
+        with pytest.raises(ValueError, match="point has wrong ambient dimension"):
+            call()
+
+
 def test_enlarge_single_point():
     pts = _random_points(3, 1, seed=13)
     result = R.enlarge(pts, 3, seed=0)

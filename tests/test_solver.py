@@ -126,6 +126,43 @@ def test_each_floating_root_is_refined_once(monkeypatch):
     assert calls["_to_fixed"] <= 6
 
 
+@pytest.mark.parametrize(
+    "tensor", [fermat_tensor(3, 3), random_tensor(3, 4, SEEDS[0])], ids=["fermat", "seeded"]
+)
+def test_every_level_isolates_its_roots_in_univariate_roots(monkeypatch, tensor):
+    from eigenpoints import solver
+
+    degrees = []
+    isolate = solver.univariate_roots
+
+    def counting(coeffs):
+        degrees.append(len(coeffs) - 1)
+        return isolate(coeffs)
+
+    monkeypatch.setattr(solver, "univariate_roots", counting)
+    sol = eigenpoints(tensor, seed=0)
+    assert sol.certified
+    # one call per solved level, P^1 included; every point but (0:...:0:1)
+    # is a root of one of the eliminants
+    assert len(degrees) == len(sol.charts_solved)
+    last = sum(1 for p, _ in sol.points if not any(p.coords[:-1]))
+    assert sum(degrees) + last == sol.expected
+
+
+def test_p1_root_dropped_at_the_newton_cap(monkeypatch):
+    from eigenpoints import unipoly
+
+    monkeypatch.setattr(unipoly, "NEWTON_STEPS", 1)
+    for seed in range(3):
+        sol = eigenpoints(_restriction_degenerate_tensor(seed), seed=0)
+        assert not sol.certified
+        dropped = [d for d in sol.diagnostics if d.startswith("x0=0|P1: root near ")]
+        assert len(dropped) == 2
+        assert all(d.endswith("dropped: Newton did not converge in 1 steps") for d in dropped)
+        on_h = [m for p, m in sol.points if p.as_complex()[0] == 0]
+        assert sum(on_h) == 0
+
+
 def test_fermat_golden_15(fermat_solution):
     sol = fermat_solution
     assert sol.certified
@@ -335,7 +372,7 @@ def test_line_level_takes_the_gcd_with_the_filters():
     x0, x1 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
 
     def line(slices, filters):
-        return _solve_projective(slices, filters, None, [], [], {}, "", None, 0)
+        return _solve_projective(slices, filters, None, [], [], {}, "", None)
 
     # the binary minor of (x_0^2, x_0 x_1) vanishes; the filter leaves (1 : ±i)
     out = line([x0 * x0, x1 * x0], [x0 * x0 + x1 * x1])
@@ -351,5 +388,5 @@ def test_line_level_takes_the_gcd_with_the_filters():
     assert line([x0, x1], []) is None
     # on P^0 the point survives only when no filter remains
     z = Polynomial.variable(0, 1)
-    assert _solve_projective([z], [z], None, [], [], {}, "", None, 0) == []
-    assert _solve_projective([z], [], None, [], [], {}, "", None, 0) == [((rational(1),), 1)]
+    assert _solve_projective([z], [z], None, [], [], {}, "", None) == []
+    assert _solve_projective([z], [], None, [], [], {}, "", None) == [((rational(1),), 1)]
