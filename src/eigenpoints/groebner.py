@@ -3,12 +3,13 @@
 The solver eliminates through this pipeline: a graded reverse
 lexicographic basis is computed with Buchberger's algorithm (fraction-free
 over the integers, Gebauer-Moeller pair pruning), the quotient staircase
-and the multiplication matrices are read off, and ``fglm`` finds the
-eliminant p of the last variable z.  When the ideal is in shape position it
-also finds the rational univariate representation x_i = g_i(z) / p_sq'(z),
-p_sq the square-free part of p.  Both come from Krylov sequences modulo
-word-size primes, lifted to Q with the primes and the reconstruction of
-``modular`` and checked there exactly before they are returned.
+and the multiplication matrices are read off, and ``fglm`` tells whether
+the last variable z separates the points (shape position).  When it does,
+``fglm`` finds the eliminant p of z and the rational univariate
+representation x_i = g_i(z) / p_sq'(z), p_sq the square-free part of p.
+Both come from Krylov sequences modulo word-size primes, lifted to Q with
+the primes and the reconstruction of ``modular`` and checked there exactly
+before they are returned; when z does not separate, nothing is lifted.
 
 Buchberger, the staircase and the multiplication matrices run on packed
 monomials (``_kernel_py``): in k variables x^e is the one integer
@@ -211,31 +212,41 @@ def quotient_basis(gb: list, nvars: int) -> list:
 #
 # In the quotient algebra Q[x]/I of dimension D, the eliminant p of the last
 # variable z is the minimal polynomial of z acting on 1, and the ideal is in
-# shape position exactly when deg p = D.  fglm finds p, and then
-# g_i = h_i p_sq' mod p_sq for the shape polynomials x_i = h_i(z), from Krylov
-# sequences 1, z, z^2, ... modulo word-size primes, lifts both by Chinese
-# remaindering and rational reconstruction, and checks the lift exactly on the
-# integer Krylov vectors.  The h_i themselves are never formed over Q: their
-# coefficients run to thousands of bits where those of p and the g_i take a
-# hundred or so (Rouillier's rational univariate representation).
+# shape position exactly when deg p = D, the rank of the Krylov vectors
+# 1, z, z^2, ...  fglm finds that rank modulo word-size primes.  When two
+# primes give less than D and none gives D it stops there: z does not
+# separate the points, which is all the solver needs to know before it
+# shears, and nothing is lifted.  Otherwise it finds p, and then
+# g_i = h_i p_sq' mod p_sq for the shape polynomials x_i = h_i(z), from the
+# Krylov sequences modulo the primes of rank D, lifts both by Chinese
+# remaindering and rational reconstruction, and checks the lift exactly on
+# the integer Krylov vectors.  The h_i themselves are never formed over Q:
+# their coefficients run to thousands of bits where those of p and the g_i
+# take a hundred or so (Rouillier's rational univariate representation).
 
 
 class LexBasis:
-    """The eliminant of the last variable and, in shape position, the RUR.
+    """The rational univariate representation of the last variable, if any.
 
-    ``dimension`` is the quotient dimension D and ``eliminant`` the monic
-    generator p of the ideal's intersection with Q[z], z the last variable.
-    In shape position (deg p = D) ``squarefree`` is the square-free part p_sq
-    of p, ``denominator`` its derivative, and ``numerators[i]`` the g_i with
-    x_i = g_i(z) / p_sq'(z) at every point; otherwise they are None, None and
-    {}.  ``elements``, built on first read, are ideal members that the exact
-    check proved: p(z) and, in shape position,
-    (p / p_sq)(z) (p_sq'(z) x_i - g_i(z)) for every i.
+    ``dimension`` is the quotient dimension D and ``krylov_rank`` the rank
+    of the Krylov vectors 1, z, ..., z^D, z the last variable: modulo a
+    prime, and D in shape position, where it is proved.  In shape position
+    ``eliminant`` is the monic generator p of the ideal's intersection with
+    Q[z], ``squarefree`` its square-free part p_sq, ``denominator`` the
+    derivative of p_sq, and ``numerators[i]`` the g_i with
+    x_i = g_i(z) / p_sq'(z) at every point.  Outside shape position the
+    eliminant is empty (or [1] when D = 0), and the others are None, None
+    and {}.  ``elements``, built on first read, are ideal members that the
+    exact check proved: p(z) and (p / p_sq)(z) (p_sq'(z) x_i - g_i(z)) for
+    every i, or none outside shape position.
     """
 
-    def __init__(self, nvars, dimension, eliminant, squarefree=None, numerators=None):
+    def __init__(
+        self, nvars, dimension, eliminant, squarefree=None, numerators=None, krylov_rank=None
+    ):
         self.nvars = nvars
         self.dimension = dimension
+        self.krylov_rank = dimension if krylov_rank is None else krylov_rank
         self.eliminant = eliminant
         self.squarefree = squarefree
         self.denominator = unipoly.derivative(squarefree) if squarefree else None
@@ -247,9 +258,9 @@ class LexBasis:
     @cached_property
     def elements(self) -> list:
         nvars, last = self.nvars, self.nvars - 1
-        out = [unipoly.to_multipoly(self.eliminant, nvars, last)]
         if not self.in_shape_position():
-            return out
+            return [unipoly.to_multipoly(self.eliminant, nvars, last)] if self.eliminant else []
+        out = [unipoly.to_multipoly(self.eliminant, nvars, last)]
         cofactor = unipoly.exact_div(self.eliminant, self.squarefree)
         z_scale = unipoly.to_multipoly(unipoly.mul(cofactor, self.denominator), nvars, last)
         for i, g in self.numerators.items():
@@ -321,14 +332,18 @@ class _IntColumns:
                     out[r] += a * x
         return out
 
-    def modulo(self, q: int):
-        """A / den modulo q as an int64 array; q must not divide den."""
-        dense = [[0] * len(self.columns) for _ in range(self.rows)]
+    @cached_property
+    def _dense(self):
+        """The integer matrix A as a dense object array, made on first use."""
+        dense = np.zeros((self.rows, len(self.columns)), dtype=object)
         for j, col in enumerate(self.columns):
             for r, a in col:
-                dense[r][j] = a % q
-        dense = np.array(dense, dtype=np.int64).reshape(self.rows, len(self.columns))
-        return dense * pow(self.den, -1, q) % q
+                dense[r, j] = a
+        return dense
+
+    def modulo(self, q: int):
+        """A / den modulo q as an int64 array; q must not divide den."""
+        return (self._dense % q).astype(np.int64) * pow(self.den, -1, q) % q
 
 
 class _Krylov:
@@ -376,8 +391,9 @@ def _image(mz: _IntColumns, coords: _IntColumns, start: int, q: int):
     """The Krylov data of the quotient modulo the prime q.
 
     Returns (p, h): the minimal polynomial p of z on 1 modulo q (ascending,
-    monic) and, when its degree is D, the h_i with x_i = h_i(z) modulo q,
-    else None.  Returns None when q divides a denominator.
+    monic) and, when its degree is D, the h_i with x_i = h_i(z) modulo q as
+    the rows of an int64 array, else None.  Returns None when q divides a
+    denominator.
     """
     if mz.den % q == 0 or coords.den % q == 0:
         return None
@@ -391,40 +407,51 @@ def _image(mz: _IntColumns, coords: _IntColumns, start: int, q: int):
     # z^r is the first Krylov vector that depends on the earlier ones, and
     # every later one depends too, so the Krylov pivots are 0 .. r-1
     r = sum(1 for c in modular._rref_mod(a, q) if c <= dim)
-    p = [int(-x) % q for x in a[:r, r]] + [1]
+    p = (-a[:r, r] % q).tolist() + [1]
     if r < dim:
         return p, None
-    return p, [[int(x) for x in a[:, j]] for j in range(dim + 1, a.shape[1])]
+    return p, a[:, dim + 1 :].T
 
 
-def _rur_numerator(h: list, dsq: list, sq: list, q: int) -> list:
-    """h dsq mod the monic sq, modulo q, padded to deg sq coefficients."""
-    prod = [0] * (len(h) + len(dsq) - 1)
-    for i, x in enumerate(h):
-        if x:
-            for j, y in enumerate(dsq):
-                prod[i + j] += x * y
-    n = len(sq) - 1
-    for k in range(len(prod) - 1, n - 1, -1):
-        c = prod[k] % q
-        if c:
-            for j in range(n):
-                prod[k - n + j] -= c * sq[j]
-    return [x % q for x in prod[:n]] + [0] * (n - len(prod))
+def _rur_numerator(shape: list, dsq: list, sq: list, q: int):
+    """h dsq mod the monic sq, modulo q, for every h in ``shape``.
+
+    The map is linear and the same for every h: its matrix has the columns
+    z^k dsq mod sq, k < D, built by one shift and one subtraction each, and
+    one product applies it to all h at once.  ``shape`` holds the h as
+    rows of D residues and ``dsq`` has at most deg sq; returns the
+    numerators as the rows of an int64 array, deg sq coefficients each.
+    D q**2 < 2**62 keeps the product inside int64.
+    """
+    n, dim = len(sq) - 1, len(shape[0])
+    low = np.array(sq[:n], dtype=np.int64)
+    col = np.zeros(n, dtype=np.int64)
+    col[: len(dsq)] = dsq
+    t = np.empty((n, dim), dtype=np.int64)
+    for k in range(dim):
+        t[:, k] = col
+        top = col[-1]
+        col[1:] = col[:-1]
+        col[0] = 0
+        col = (col - top * low) % q
+    return np.asarray(shape, dtype=np.int64) @ t.T % q
 
 
 def fglm(gb: list, nvars: int) -> LexBasis:
     """Eliminant and rational univariate representation of a grevlex basis.
 
     Multi-modular (see the comment above ``LexBasis``): each prime gives the
-    Krylov data modulo q; primes that divide a denominator or give a lower
-    Krylov rank are dropped.  Since rank modulo q <= rank over Q, a lifted
-    monic p of that degree with p(M_z) 1 = 0 is the eliminant.  In shape
-    position the lifted g_i are then accepted only when
-    (p/p_sq)(z) (x_i p_sq'(z) - g_i(z)) 1 = 0, which makes x_i = g_i/p_sq' at
-    every root.  A lift that fails its check waits for more primes; past
+    Krylov data modulo q, and primes that divide a denominator are dropped.
+    Once two primes give a Krylov rank below D, and none has given D, z is
+    taken not to separate the points and a basis outside shape position is
+    returned, with no lift.  Otherwise the primes of rank below D are
+    dropped and p is lifted over those of rank D: since rank modulo q <=
+    rank over Q, a lifted monic p of degree D with p(M_z) 1 = 0 is the
+    eliminant.  The lifted g_i are then accepted only when
+    (p/p_sq)(z) (x_i p_sq'(z) - g_i(z)) 1 = 0, which makes x_i = g_i/p_sq'
+    at every root.  A lift that fails its check waits for more primes; past
     ``modular._PRIME_BUDGET`` primes EliminationError is raised, so every
-    returned basis has been checked exactly.
+    basis returned in shape position has been checked exactly.
     """
     basis_monos = quotient_basis(gb, nvars)
     dim = len(basis_monos)
@@ -438,25 +465,28 @@ def fglm(gb: list, nvars: int) -> LexBasis:
     krylov = _Krylov(mz, start)
     primes = islice(modular._primes(modular._prime_bits(dim)), modular._PRIME_BUDGET)
 
-    # the eliminant, lifted over the primes of the highest Krylov rank seen
-    images, lift, rank = [], modular._Lift(), 0
+    # the eliminant, lifted over the primes of full Krylov rank
+    images, lift, low = [], modular._Lift(), []
     for q in primes:
         image = _image(mz, coords, start, q)
-        if image is None or len(image[0]) - 1 < rank:
+        if image is None:
             continue
-        if len(image[0]) - 1 > rank:
-            images, lift, rank = [], modular._Lift(), len(image[0]) - 1
+        if image[1] is None:
+            low.append(len(image[0]) - 1)
+            if len(low) == 2 and not images:
+                return LexBasis(nvars, dim, [], krylov_rank=max(low))
+            continue
         images.append((q, image[1]))
         p = lift.add(q, image[0])
         if p is not None and not any(krylov.combine(p)[0]):
             break
     else:
         raise EliminationError("no checked eliminant within the prime budget")
-    if rank < dim:
-        return LexBasis(nvars, dim, p)
 
     # shape position: the numerators g_i = h_i p_sq' mod p_sq
     sq = unipoly.squarefree_part(p)
+    if not last:
+        return LexBasis(nvars, dim, p, sq)
     dsq = unipoly.derivative(sq)
     cofactor = unipoly.exact_div(p, sq)
     scale = unipoly.mul(cofactor, dsq)
@@ -470,8 +500,8 @@ def fglm(gb: list, nvars: int) -> LexBasis:
     n = len(sq) - 1
     for q, shape in chain(images, fresh):
         # p is integral at every prime of full rank, and so is its monic factor p_sq
-        sq_q, dsq_q = unipoly.modulo(sq, q), unipoly.modulo(dsq, q)
-        flat = lift.add(q, [c for h in shape for c in _rur_numerator(h, dsq_q, sq_q, q)])
+        rows = _rur_numerator(shape, unipoly.modulo(dsq, q), unipoly.modulo(sq, q), q)
+        flat = lift.add(q, rows.ravel().tolist())
         if flat is None:
             continue
         numerators = {i: unipoly.trim(flat[i * n : (i + 1) * n]) for i in range(last)}

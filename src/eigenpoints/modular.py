@@ -7,6 +7,12 @@ is accepted only once it passes an exact check over Q.  ``groebner.fglm``
 lifts Krylov data this way; ``kernel`` lifts reduced-echelon kernel bases.
 ``rank`` lifts nothing: the rank of one image is a proved lower bound on the
 rank over Q.
+
+The images are row-reduced in int64 and reduced modulo q lazily
+(``_rref_mod``).  A lift attempt reconstructs each value over the common
+denominator of the values before it (``_reconstruct``), so only a value
+with a new denominator costs a half-gcd, and its answers are those of
+``_rational`` value by value.
 """
 
 from __future__ import annotations
@@ -61,27 +67,47 @@ def _primes(bits: int):
 # bits is lifted within the budget; an input needing more raises.  The
 # largest counts met in fglm: 85 primes (coefficients of 2,324 bits,
 # numerator and denominator together) when enlarging the reconstruction
-# point sets, 12 on (3,4) charts, 35 on a (3,6) chart.
+# point sets, 12 on (3,4) charts, 35 on a (3,6) chart.  A chart whose last
+# variable does not separate its points takes two primes and lifts nothing.
 _PRIME_BUDGET = 512
 
 
 def _rref_mod(a, q: int) -> list:
-    """Row-reduce the int64 array a modulo the prime q in place; the pivot columns."""
+    """Row-reduce the int64 array a modulo the prime q in place; the pivot columns.
+
+    Reduced lazily: a column is reduced when it is read for a pivot, and the
+    pivot row when it is scaled, but the rest of the matrix only when the
+    pending subtractions could next leave int64.  Entries start below q and
+    a subtraction adds less than q**2 to one, so 2**62 // q**2 of them stay
+    inside int64; for the 31-bit primes of ``kernel`` that is one, and the
+    matrix is reduced after every pivot.  On return every entry is in [0, q).
+    """
+    budget = 2**62 // q**2 - 1
+    pending = 0
     pivots = []
     for c in range(a.shape[1]):
         r = len(pivots)
         if r == a.shape[0]:
             break
-        nz = np.flatnonzero(a[r:, c])
+        nz = (a[r:, c] % q).nonzero()[0]
         if not nz.size:
             continue
-        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, q) % q
-        f = a[:, c].copy()
+        k = r + nz[0]
+        # the pivot row is zero left of c modulo q, and exactly zero once reduced
+        row = a[k] % q
+        if k != r:
+            a[k] = a[r]
+        row = row * pow(int(row[c]), -1, q) % q
+        a[r] = row
+        f = a[:, c] % q
         f[r] = 0
-        a -= np.outer(f, a[r])
-        a %= q
+        a[:, c:] -= f[:, None] * row[c:]
+        pending += 1
+        if pending > budget:
+            a %= q
+            pending = 0
         pivots.append(c)
+    a %= q
     return pivots
 
 
@@ -127,15 +153,38 @@ class _Lift:
         bits = self.modulus.bit_length()
         if bits >= self.attempt_bits:
             self.attempt_bits = bits * 9 // 8
-            lifted = []
-            for x in self.residues:
-                g = _rational(x, self.modulus)
-                if g is None:
-                    break
-                lifted.append(g)
-            else:
-                self.guess = lifted
+            self.guess = _reconstruct(self.residues, self.modulus)
         return None
+
+
+def _reconstruct(residues: list, m: int):
+    """``_rational`` of every residue modulo m, or None when one has none.
+
+    Each value is first tried over the common denominator L of the values
+    before it: y = L x mod m in the symmetric range, and y / L in lowest
+    terms when its numerator and denominator are within ``_rational``'s
+    bound.  Then y / L = x modulo m (L is a product of denominators that
+    ``_rational`` gave, all prime to m), and two such fractions within the
+    bound are equal, so it is ``_rational``'s answer.  Only a value whose
+    denominator is new costs a half-gcd, and an attempt that fails stops
+    at the first value without a reconstruction.
+    """
+    bound, half = isqrt(m >> 1), m >> 1
+    den, out = 1, []
+    for x in residues:
+        y = den * x % m
+        if y > half:
+            y -= m
+        g = int_gcd(y, den)
+        if abs(y) // g <= bound and den // g <= bound:
+            out.append(rational(y // g, den // g))
+            continue
+        value = _rational(x, m)
+        if value is None:
+            return None
+        out.append(value)
+        den = lcm(den, value.denominator)
+    return out
 
 
 def rank(int_rows: list, cols: int) -> int:

@@ -7,13 +7,15 @@ serialize as "num/den" strings (exact) or [re, im] pairs (floating).
 
 from __future__ import annotations
 
+from bisect import insort
+
 from .rationals import format_rational, is_rational, parse_rational, rational
 
 FLOAT_DEDUP_TOL = 1e-8
 
 
 class ProjectivePoint:
-    __slots__ = ("coords", "exact")
+    __slots__ = ("coords", "exact", "_complex", "_key")
 
     def __init__(self, coords):
         coords = list(coords)
@@ -35,17 +37,24 @@ class ProjectivePoint:
             lead = zs[mags.index(top)]
             self.coords = tuple(z / lead for z in zs)
         self.exact = exact
+        self._complex = None
+        self._key = None
 
     @property
     def n(self) -> int:
         return len(self.coords) - 1
 
     def as_complex(self):
-        """Max-modulus-normalized complex coordinates (for metric comparisons)."""
-        zs = [complex(c) for c in self.coords]
-        mags = [abs(z) for z in zs]
-        lead = zs[mags.index(max(mags))]
-        return tuple(z / lead for z in zs)
+        """Max-modulus-normalized complex coordinates (for metric comparisons).
+
+        Computed on first use and kept: a point's coordinates do not change.
+        """
+        if self._complex is None:
+            zs = [complex(c) for c in self.coords]
+            mags = [abs(z) for z in zs]
+            lead = zs[mags.index(max(mags))]
+            self._complex = tuple(z / lead for z in zs)
+        return self._complex
 
     def is_real(self, tol: float = FLOAT_DEDUP_TOL) -> bool:
         if self.exact:
@@ -64,7 +73,9 @@ class ProjectivePoint:
         return self.distance(other) < tol
 
     def sort_key(self):
-        return tuple((round(z.real, 9), round(z.imag, 9)) for z in self.as_complex())
+        if self._key is None:
+            self._key = tuple((round(z.real, 9), round(z.imag, 9)) for z in self.as_complex())
+        return self._key
 
     def __eq__(self, other):
         return isinstance(other, ProjectivePoint) and self.same_point(other)
@@ -114,8 +125,8 @@ class PointSet:
             raise ValueError("point has wrong ambient dimension")
         if any(p.same_point(q) for q in self.points):
             return False
-        self.points.append(p)
-        self.points.sort(key=lambda q: q.sort_key())
+        # after every point of an equal key, as a stable sort would place it
+        insort(self.points, p, key=ProjectivePoint.sort_key)
         return True
 
     def __len__(self):

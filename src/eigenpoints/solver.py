@@ -15,6 +15,7 @@ the rest are complex doubles read off that checked representation.
 from __future__ import annotations
 
 import random
+from math import lcm
 
 from . import unipoly
 from . import groebner as gb_engine
@@ -136,6 +137,43 @@ def _complex_residuals(gens):
     ]
 
 
+def _integer_residuals(gens):
+    """Per generator: its terms as (exponents, integer coefficient).
+
+    The coefficients are scaled once by the lcm of their denominators, for
+    ``_vanishes_at`` to evaluate the generator at many exact points in ints.
+    """
+    out = []
+    for g in gens:
+        den = lcm(*(c.denominator for c in g.terms.values()))
+        out.append([(m, int(c.numerator) * (den // c.denominator)) for m, c in g.terms.items()])
+    return out
+
+
+def _integer_point(coords) -> list:
+    """An exact point's coordinates times the lcm of their denominators."""
+    scale = lcm(*(c.denominator for c in coords))
+    return [int(c.numerator) * (scale // c.denominator) for c in coords]
+
+
+def _vanishes_at(terms, xs) -> bool:
+    """Whether a minor vanishes at an exact point, in ints.
+
+    ``terms`` is the minor as ``_integer_residuals`` gives it and ``xs`` the
+    point as ``_integer_point`` gives it.  A minor is a form, so this value
+    is its value at the point times a power of the point's scale and times
+    its coefficients' scale, both nonzero: zero exactly when the rational
+    value is.
+    """
+    total = 0
+    for mono, c in terms:
+        for x, e in zip(xs, mono):
+            if e:
+                c *= x**e
+        total += c
+    return total == 0
+
+
 # -- chart solving -----------------------------------------------------------
 
 
@@ -214,7 +252,7 @@ def _solve_by_elimination(polys, k, rng):
                 notes.append("eliminant not squarefree: multiplicity reported")
             return ChartResult(sols, notes=notes, shear=coeffs)
         last_note = (
-            f"eliminant degree {len(lex.eliminant) - 1} below quotient dimension"
+            f"Krylov rank {lex.krylov_rank} modulo a prime below quotient dimension"
             f" {lex.dimension}"
         )
     return ChartResult(
@@ -409,10 +447,12 @@ def _solve_projective(slices, filters, rng, charts, diagnostics, shears, prefix,
 def _check_residuals(points, gens, diagnostics) -> bool:
     ok = True
     residuals = _complex_residuals(gens)
+    exact = _integer_residuals(gens)
     for p, _ in points:
         if p.exact:
-            for g in gens:
-                if g.evaluate(list(p.coords)) != 0:
+            xs = _integer_point(p.coords)
+            for g, terms in zip(gens, exact):
+                if not _vanishes_at(terms, xs):
                     diagnostics.append(f"exact point {p!r} fails minor {g.to_text()}")
                     ok = False
                     break
@@ -435,11 +475,13 @@ def curve_membership_check(t: PartialSymTensor, i: int, j: int, solution: EigenS
     for deleted in (i, j):
         gens = minor_ideal_generators(EigenMatrix(t, (deleted,)))
         residuals = _complex_residuals(gens)
+        exact = _integer_residuals(gens)
         for p, _ in solution.points:
             report["count"] += 1
             if p.exact:
-                for g in gens:
-                    if g.evaluate(list(p.coords)) != 0:
+                xs = _integer_point(p.coords)
+                for terms in exact:
+                    if not _vanishes_at(terms, xs):
                         report["all_exact_zero"] = False
                         report["max_residual"] = float("inf")
             else:

@@ -247,6 +247,14 @@ def _horner(coeffs: list, zr: int, zi: int, s: int) -> tuple:
     return (pr, pi), (dr, di)
 
 
+def _horner_value(coeffs: list, zr: int, zi: int, s: int) -> tuple:
+    """p(z) alone, bit for bit as ``_horner`` gives it: its value never reads p'."""
+    pr = pi = 0
+    for c in reversed(coeffs):
+        pr, pi = ((pr * zr - pi * zi) >> s) + c, (pr * zi + pi * zr) >> s
+    return pr, pi
+
+
 def _ratio(num: int, den: int) -> float:
     """num / den as a float (den > 0), saturating to +-inf instead of raising."""
     try:
@@ -393,7 +401,7 @@ def refined_values(eliminant, polys: list, z0: complex, extra_bits: int = REFINE
         zr, zi, s, raised = zr << short, zi << short, s + short, True
     values = []
     for poly in polys:
-        (vr, vi), _ = _horner(poly.fixed(s), zr, zi, s)
+        vr, vi = _horner_value(poly.fixed(s), zr, zi, s)
         values.append(FixedComplex(vr, vi, s))
     return FixedComplex(zr, zi, s), values
 

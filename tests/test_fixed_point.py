@@ -119,3 +119,14 @@ def test_prepared_form_at_the_scales_a_solve_uses(monkeypatch):
     assert len({e for _, e, _ in seen}) > 1
     for c, e, ints in seen:
         _within_one_unit(c, e, ints)
+
+
+def test_value_horner_is_horners_value():
+    c = U.FixedPoly(
+        [rational(3, 7), rational(-(10**40)), rational(0), rational(5, 11), rational(1)]
+    )
+    for z in [complex(0.3, -1.7), complex(-2.5, 0.01), complex(1e3, 1e-3)]:
+        for s in (64, 200):
+            ints = c.fixed(s)
+            zr, zi = U._fixed_point(z, s)
+            assert U._horner_value(ints, zr, zi, s) == U._horner(ints, zr, zi, s)[0]

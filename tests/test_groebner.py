@@ -216,15 +216,33 @@ def test_fglm_rur_relations_lie_in_ideal(d):
     assert not _reduces_to_zero(wrong, gb)
 
 
-def test_fglm_fermat_chart_not_in_shape_position():
+def _fermat_chart_basis():
     # unsheared, the Fermat (3,4) chart has points sharing their last coordinate
-    gb = GB.buchberger(chart_system(fermat_tensor(3, 4).to_partial(), 0), 3)
+    return GB.buchberger(chart_system(fermat_tensor(3, 4).to_partial(), 0), 3)
+
+
+def test_fglm_fermat_chart_not_in_shape_position():
+    gb = _fermat_chart_basis()
     lex = GB.fglm(gb, 3)
     assert not lex.in_shape_position()
     assert lex.numerators == {} and lex.squarefree is None
-    assert 0 < len(lex.eliminant) - 1 < lex.dimension
-    assert lex.eliminant[-1] == 1
-    assert _reduces_to_zero(unipoly.to_multipoly(lex.eliminant, 3, 2), gb)
+    assert lex.eliminant == [] and lex.elements == []
+    assert 0 < lex.krylov_rank < lex.dimension == len(GB.quotient_basis(gb, 3))
+    # proved over Q: the Krylov vectors 1, z, ..., z^(D-1) are dependent
+    assert _krylov_determinant(gb) == 0
+
+
+def test_fglm_stops_after_two_images_of_low_rank(monkeypatch):
+    image, calls = GB._image, []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return image(*args)
+
+    monkeypatch.setattr(GB, "_image", counted)
+    lex = GB.fglm(_fermat_chart_basis(), 3)
+    assert len(calls) == 2
+    assert not lex.in_shape_position()
 
 
 def _smallest_prime_factor(n, skip=1):
@@ -249,7 +267,9 @@ def _krylov_determinant(gb):
         v = [sum(mz[j][r] * v[j] for j in range(len(v))) for r in range(len(v))]
     det = rational(1)
     for c in range(len(rows)):
-        k = next(r for r in range(c, len(rows)) if rows[r][c])
+        k = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if k is None:
+            return rational(0)
         rows[c], rows[k] = rows[k], rows[c]
         det *= rows[c][c] if k == c else -rows[c][c]
         for r in range(c + 1, len(rows)):
@@ -368,3 +388,35 @@ def test_multiplication_columns_over_their_least_denominator():
     assert reduced  # the chart has columns that the reduction divides
     mz = GB._IntColumns(mats[2], len(monos))
     assert mz.den == lcm(*(den for den, _ in mats[2]))
+
+
+def _scalar_rur_numerator(h, dsq, sq, q):
+    # h dsq mod the monic sq, modulo q, one product and one division at a time
+    prod = [0] * (len(h) + len(dsq) - 1)
+    for i, x in enumerate(h):
+        for j, y in enumerate(dsq):
+            prod[i + j] += x * y
+    n = len(sq) - 1
+    for k in range(len(prod) - 1, n - 1, -1):
+        c = prod[k] % q
+        for j in range(n):
+            prod[k - n + j] -= c * sq[j]
+    return [x % q for x in prod[:n]] + [0] * (n - len(prod))
+
+
+@pytest.mark.parametrize("dim", [15, 40, 57])
+def test_rur_numerators_equal_the_scalar_products(dim):
+    import random
+
+    rng = random.Random(dim)
+    q = next(modular._primes(modular._prime_bits(dim)))
+    assert dim * q * q < 2**62 < dim * (2 * q) ** 2
+    for n in (dim, dim - 3, 1):
+        sq = [rng.randrange(q) for _ in range(n)] + [1]
+        # entries near q, and a derivative whose top coefficient vanishes modulo q
+        dsq = [rng.randrange(q - 100, q) for _ in range(n)]
+        shape = [[rng.randrange(q) for _ in range(dim)] for _ in range(2)]
+        shape.append([q - 1] * dim)
+        for d in (dsq, dsq[:-1]):
+            rows = GB._rur_numerator(shape, d, sq, q)
+            assert rows.tolist() == [_scalar_rur_numerator(h, d, sq, q) for h in shape]

@@ -68,3 +68,24 @@ def test_is_real():
     assert ProjectivePoint([rational(1), rational(2)]).is_real()
     assert ProjectivePoint([1.0, 2.0 + 1e-12j]).is_real()
     assert not ProjectivePoint([1.0, 2.0 + 0.5j]).is_real()
+
+
+def test_point_set_keeps_the_order_of_a_stable_sort():
+    import random
+
+    rng = random.Random(3)
+    points = []
+    for _ in range(60):
+        x = rational(rng.randint(-4, 4), rng.randint(1, 3))
+        if rng.random() < 0.3:
+            # a distinct exact point with the same rounded key
+            x += rational(1, 10**12)
+        points.append(ProjectivePoint([rational(1), x, rational(rng.randint(0, 2))]))
+        if rng.random() < 0.2:
+            points.append(ProjectivePoint([1.0, complex(x) + 1e-12, rng.randint(0, 2) + 0j]))
+    ps, kept = PointSet(2), []
+    for p in points:
+        if ps.add(p):
+            kept.append(p)
+            assert ps.points == sorted(kept, key=lambda q: q.sort_key())
+    assert len({p.sort_key() for p in kept}) < len(kept)

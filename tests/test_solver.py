@@ -390,3 +390,39 @@ def test_line_level_takes_the_gcd_with_the_filters():
     z = Polynomial.variable(0, 1)
     assert _solve_projective([z], [z], None, [], [], {}, "", None) == []
     assert _solve_projective([z], [], None, [], [], {}, "", None) == [((rational(1),), 1)]
+
+
+def test_integer_residuals_match_evaluate(fermat_solution):
+    import random
+
+    from eigenpoints.solver import _integer_point, _integer_residuals, _vanishes_at
+
+    rng = random.Random(7)
+
+    def fraction():
+        return rational(rng.randint(-9, 9), rng.randint(1, 12))
+
+    xs = [Polynomial.variable(i, 4) for i in range(4)]
+    # forms over mixed denominators: products of linear forms, each with a
+    # point on its first factor, where x_3 is solved for exactly
+    forms, zeros = [], []
+    for _ in range(6):
+        a, b = [fraction() or rational(1, 5) for _ in range(4)], [fraction() for _ in range(4)]
+        forms.append(
+            sum((x * c for x, c in zip(xs, a)), Polynomial.zero(4))
+            * sum((x * c for x, c in zip(xs, b)), Polynomial.zero(4))
+        )
+        head = [fraction() for _ in range(3)]
+        zeros.append(tuple(head) + (-sum(c * x for c, x in zip(a, head)) / a[3],))
+    fermat = minor_ideal_generators(EigenMatrix(fermat_tensor(3, 3).to_partial()))
+    points = [p.coords for p, _ in fermat_solution.points] + zeros
+    points += [tuple(fraction() for _ in range(4)) for _ in range(10)]
+    for gens in (forms, fermat):
+        for g, terms in zip(gens, _integer_residuals(gens)):
+            for x in points:
+                assert _vanishes_at(terms, _integer_point(x)) == (g.evaluate(list(x)) == 0)
+    # each point lies on its own form, and the Fermat points on every Fermat minor
+    on = [_vanishes_at(t, _integer_point(x)) for t, x in zip(_integer_residuals(forms), zeros)]
+    assert all(on)
+    xs = [_integer_point(x) for x in points[:15]]
+    assert all(_vanishes_at(t, x) for t in _integer_residuals(fermat) for x in xs)
