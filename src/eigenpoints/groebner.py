@@ -4,12 +4,14 @@ The solver eliminates through this pipeline: a graded reverse
 lexicographic basis is computed with Buchberger's algorithm (fraction-free
 over the integers, Gebauer-Moeller pair pruning), the quotient staircase
 and the multiplication matrices are read off, and ``fglm`` tells whether
-the last variable z separates the points (shape position).  When it does,
-``fglm`` finds the eliminant p of z and the rational univariate
-representation x_i = g_i(z) / p_sq'(z), p_sq the square-free part of p.
-Both come from Krylov sequences modulo word-size primes, lifted to Q with
-the primes and the reconstruction of ``modular`` and checked there exactly
-before they are returned; when z does not separate, nothing is lifted.
+a linear form u = z + sum_i c_i x_i, z the last variable, separates the
+points (shape position); its matrix is M_z + sum_i c_i M_{x_i}, so every
+u is tried on the one basis.  When u separates, ``fglm`` finds the
+eliminant p of u and the rational univariate representation
+x_i = g_i(u) / p_sq'(u), p_sq the square-free part of p.  Both come from
+Krylov sequences modulo word-size primes, lifted to Q with the primes and
+the reconstruction of ``modular`` and checked there exactly before they
+are returned; when u does not separate, nothing is lifted.
 
 Buchberger, the staircase and the multiplication matrices run on packed
 monomials (``_kernel_py``): in k variables x^e is the one integer
@@ -210,35 +212,37 @@ def quotient_basis(gb: list, nvars: int) -> list:
 
 # -- FGLM: rational univariate representation, lifted and checked over Q ---
 #
-# In the quotient algebra Q[x]/I of dimension D, the eliminant p of the last
-# variable z is the minimal polynomial of z acting on 1, and the ideal is in
-# shape position exactly when deg p = D, the rank of the Krylov vectors
-# 1, z, z^2, ...  fglm finds that rank modulo word-size primes.  When two
-# primes give less than D and none gives D it stops there: z does not
-# separate the points, which is all the solver needs to know before it
-# shears, and nothing is lifted.  Otherwise it finds p, and then
-# g_i = h_i p_sq' mod p_sq for the shape polynomials x_i = h_i(z), from the
-# Krylov sequences modulo the primes of rank D, lifts both by Chinese
-# remaindering and rational reconstruction, and checks the lift exactly on
-# the integer Krylov vectors.  The h_i themselves are never formed over Q:
-# their coefficients run to thousands of bits where those of p and the g_i
-# take a hundred or so (Rouillier's rational univariate representation).
+# In the quotient algebra Q[x]/I of dimension D, the eliminant p of a linear
+# form u = z + sum_i c_i x_i (u = z, the last variable, when every c_i is 0)
+# is the minimal polynomial of u acting on 1, and u separates the points
+# exactly when deg p = D, the rank of the Krylov vectors 1, u, u^2, ...
+# fglm finds that rank modulo word-size primes.  When two primes give less
+# than D and none gives D it stops there: u does not separate the points,
+# which is all the solver needs to know before it tries another u, and
+# nothing is lifted.  Otherwise it finds p, and then g_i = h_i p_sq' mod
+# p_sq for the shape polynomials x_i = h_i(u), from the Krylov sequences
+# modulo the primes of rank D, lifts both by Chinese remaindering and
+# rational reconstruction, and checks the lift exactly on the integer
+# Krylov vectors.  p and the g_i are unique, so they are those of the
+# sheared ideal in the coordinates (x, u).  The h_i themselves are never
+# formed over Q: their coefficients run to thousands of bits where those of
+# p and the g_i take a hundred or so (Rouillier's rational univariate
+# representation).
 
 
 class LexBasis:
-    """The rational univariate representation of the last variable, if any.
+    """The rational univariate representation of a separating element u, if any.
 
-    ``dimension`` is the quotient dimension D and ``krylov_rank`` the rank
-    of the Krylov vectors 1, z, ..., z^D, z the last variable: modulo a
+    u = z + sum_i c_i x_i is the linear form of ``fglm``'s shear c, z the
+    last variable.  ``dimension`` is the quotient dimension D and
+    ``krylov_rank`` the rank of the Krylov vectors 1, u, ..., u^D: modulo a
     prime, and D in shape position, where it is proved.  In shape position
     ``eliminant`` is the monic generator p of the ideal's intersection with
-    Q[z], ``squarefree`` its square-free part p_sq, ``denominator`` the
+    Q[u], ``squarefree`` its square-free part p_sq, ``denominator`` the
     derivative of p_sq, and ``numerators[i]`` the g_i with
-    x_i = g_i(z) / p_sq'(z) at every point.  Outside shape position the
+    x_i = g_i(u) / p_sq'(u) at every point.  Outside shape position the
     eliminant is empty (or [1] when D = 0), and the others are None, None
-    and {}.  ``elements``, built on first read, are ideal members that the
-    exact check proved: p(z) and (p / p_sq)(z) (p_sq'(z) x_i - g_i(z)) for
-    every i, or none outside shape position.
+    and {}.
     """
 
     def __init__(
@@ -254,21 +258,6 @@ class LexBasis:
 
     def in_shape_position(self) -> bool:
         return self.squarefree is not None
-
-    @cached_property
-    def elements(self) -> list:
-        nvars, last = self.nvars, self.nvars - 1
-        if not self.in_shape_position():
-            return [unipoly.to_multipoly(self.eliminant, nvars, last)] if self.eliminant else []
-        out = [unipoly.to_multipoly(self.eliminant, nvars, last)]
-        cofactor = unipoly.exact_div(self.eliminant, self.squarefree)
-        z_scale = unipoly.to_multipoly(unipoly.mul(cofactor, self.denominator), nvars, last)
-        for i, g in self.numerators.items():
-            out.append(
-                z_scale * Polynomial.variable(i, nvars)
-                - unipoly.to_multipoly(unipoly.mul(cofactor, g), nvars, last)
-            )
-        return out
 
 
 def multiplication_matrices(gb: list, basis_monos: list, nvars: int):
@@ -347,31 +336,31 @@ class _IntColumns:
 
 
 class _Krylov:
-    """The vectors z^t of the quotient, exactly: w_t = ``vector(t)`` as (W, d), W / d."""
+    """The vectors u^t of the quotient, exactly: w_t = ``vector(t)`` as (W, d), W / d."""
 
-    def __init__(self, mz: _IntColumns, start: int):
-        unit = [0] * mz.rows
+    def __init__(self, mu: _IntColumns, start: int):
+        unit = [0] * mu.rows
         unit[start] = 1
-        self.mz = mz
+        self.mu = mu
         self.vectors = [(unit, 1)]
 
     def vector(self, t: int) -> tuple:
         while len(self.vectors) <= t:
             w, d = self.vectors[-1]
-            w, d = self.mz.apply(w), d * self.mz.den
+            w, d = self.mu.apply(w), d * self.mu.den
             g = int_gcd(d, *w)
             self.vectors.append(([x // g for x in w], d // g))
         return self.vectors[t]
 
     def combine(self, coeffs: list) -> tuple:
-        """sum_t coeffs[t] z^t as (V, den) with integer V: the vector is V / den.
+        """sum_t coeffs[t] u^t as (V, den) with integer V: the vector is V / den.
 
         The sum is kept over the lcm of the denominators met so far, which
         grows by a small factor per step, so no term is multiplied by the
         quotient of the last denominator by the first.
         """
         cden = lcm(*(int(c.denominator) for c in coeffs if c))
-        out, den = [0] * self.mz.rows, 1
+        out, den = [0] * self.mu.rows, 1
         for t, c in enumerate(coeffs):
             if not c:
                 continue
@@ -387,24 +376,46 @@ class _Krylov:
         return out, den * cden
 
 
-def _image(mz: _IntColumns, coords: _IntColumns, start: int, q: int):
+def _linear_form(mats: list, shear: list) -> list:
+    """The columns of M_u, u = z + sum_i shear[i] x_i, in the form of ``mats``.
+
+    Column k is the sum of column k of M_z and of shear[i] times column k
+    of each M_{x_i}, over the lcm of their denominators, divided by its
+    gcd with the content of the sum; the shear is integral.
+    """
+    cols = []
+    for k, (zden, zentries) in enumerate(mats[-1]):
+        terms = [(1, zden, zentries)]
+        terms += [(c, *mats[i][k]) for i, c in enumerate(shear) if c]
+        den = lcm(*(d for _, d, _ in terms))
+        acc = {}
+        for c, d, entries in terms:
+            f = c * (den // d)
+            for r, a in entries:
+                acc[r] = acc.get(r, 0) + f * a
+        g = int_gcd(den, *acc.values())
+        cols.append((den // g, [(r, a // g) for r, a in acc.items() if a]))
+    return cols
+
+
+def _image(mu: _IntColumns, coords: _IntColumns, start: int, q: int):
     """The Krylov data of the quotient modulo the prime q.
 
-    Returns (p, h): the minimal polynomial p of z on 1 modulo q (ascending,
-    monic) and, when its degree is D, the h_i with x_i = h_i(z) modulo q as
+    Returns (p, h): the minimal polynomial p of u on 1 modulo q (ascending,
+    monic) and, when its degree is D, the h_i with x_i = h_i(u) modulo q as
     the rows of an int64 array, else None.  Returns None when q divides a
     denominator.
     """
-    if mz.den % q == 0 or coords.den % q == 0:
+    if mu.den % q == 0 or coords.den % q == 0:
         return None
-    dim = mz.rows
+    dim = mu.rows
     a = np.zeros((dim, dim + 1 + len(coords.columns)), dtype=np.int64)
-    m = mz.modulo(q)
+    m = mu.modulo(q)
     a[start, 0] = 1
     for t in range(dim):
         a[:, t + 1] = m @ a[:, t] % q
     a[:, dim + 1 :] = coords.modulo(q)
-    # z^r is the first Krylov vector that depends on the earlier ones, and
+    # u^r is the first Krylov vector that depends on the earlier ones, and
     # every later one depends too, so the Krylov pivots are 0 .. r-1
     r = sum(1 for c in modular._rref_mod(a, q) if c <= dim)
     p = (-a[:r, r] % q).tolist() + [1]
@@ -437,18 +448,21 @@ def _rur_numerator(shape: list, dsq: list, sq: list, q: int):
     return np.asarray(shape, dtype=np.int64) @ t.T % q
 
 
-def fglm(gb: list, nvars: int) -> LexBasis:
+def fglm(gb: list, nvars: int, shear=None) -> LexBasis:
     """Eliminant and rational univariate representation of a grevlex basis.
 
+    The separating element is u = z + sum_i shear[i] x_i, with integer
+    coefficients, or z when ``shear`` is None or all zero; its matrix M_u
+    comes from the basis's own multiplication matrices (``_linear_form``).
     Multi-modular (see the comment above ``LexBasis``): each prime gives the
     Krylov data modulo q, and primes that divide a denominator are dropped.
-    Once two primes give a Krylov rank below D, and none has given D, z is
+    Once two primes give a Krylov rank below D, and none has given D, u is
     taken not to separate the points and a basis outside shape position is
     returned, with no lift.  Otherwise the primes of rank below D are
     dropped and p is lifted over those of rank D: since rank modulo q <=
-    rank over Q, a lifted monic p of degree D with p(M_z) 1 = 0 is the
+    rank over Q, a lifted monic p of degree D with p(M_u) 1 = 0 is the
     eliminant.  The lifted g_i are then accepted only when
-    (p/p_sq)(z) (x_i p_sq'(z) - g_i(z)) 1 = 0, which makes x_i = g_i/p_sq'
+    (p/p_sq)(u) (x_i p_sq'(u) - g_i(u)) 1 = 0, which makes x_i = g_i/p_sq'
     at every root.  A lift that fails its check waits for more primes; past
     ``modular._PRIME_BUDGET`` primes EliminationError is raised, so every
     basis returned in shape position has been checked exactly.
@@ -460,15 +474,15 @@ def fglm(gb: list, nvars: int) -> LexBasis:
     mats = multiplication_matrices(gb, basis_monos, nvars)
     start = basis_monos.index((0,) * nvars)
     last = nvars - 1
-    mz = _IntColumns(mats[last], dim)
+    mu = _IntColumns(_linear_form(mats, shear) if any(shear or ()) else mats[last], dim)
     coords = _IntColumns([mats[i][start] for i in range(last)], dim)
-    krylov = _Krylov(mz, start)
+    krylov = _Krylov(mu, start)
     primes = islice(modular._primes(modular._prime_bits(dim)), modular._PRIME_BUDGET)
 
     # the eliminant, lifted over the primes of full Krylov rank
     images, lift, low = [], modular._Lift(), []
     for q in primes:
-        image = _image(mz, coords, start, q)
+        image = _image(mu, coords, start, q)
         if image is None:
             continue
         if image[1] is None:
@@ -493,7 +507,7 @@ def fglm(gb: list, nvars: int) -> LexBasis:
     fresh = (
         (q, image[1])
         for q in primes
-        for image in [_image(mz, coords, start, q)]
+        for image in [_image(mu, coords, start, q)]
         if image is not None and image[1] is not None
     )
     lift = modular._Lift()
@@ -513,11 +527,11 @@ def fglm(gb: list, nvars: int) -> LexBasis:
 
 
 def _rur_holds(krylov: _Krylov, mats: list, scale: list, cofactor: list, numerators: dict) -> bool:
-    """x_i scale(z) 1 = (cofactor g_i)(z) 1 in the quotient, exactly, for every i."""
+    """x_i scale(u) 1 = (cofactor g_i)(u) 1 in the quotient, exactly, for every i."""
     v, den = krylov.combine(scale)
     for i, g in numerators.items():
         mx = _IntColumns(mats[i], len(v))
-        lhs = mx.apply(v)  # mx.den * den * x_i scale(z) 1
+        lhs = mx.apply(v)  # mx.den * den * x_i scale(u) 1
         rhs, rden = krylov.combine(unipoly.mul(cofactor, g))
         if any(a * rden != b * mx.den * den for a, b in zip(lhs, rhs)):
             return False

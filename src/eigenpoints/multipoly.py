@@ -103,7 +103,9 @@ class Polynomial:
         if self.nvars != other.nvars:
             raise ValueError("polynomials live in different variable counts")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def __add__(self, other) -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            other = Polynomial.constant(self.nvars, other)
         self._check_compatible(other)
         res = dict(self.terms)
         for m, c in other.terms.items():
@@ -117,7 +119,9 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
@@ -159,7 +163,8 @@ class Polynomial:
         """Exact (or floating, depending on the point's entries) value.
 
         The point must have one entry per variable; entries may be
-        rationals, ints, floats or complex numbers.
+        rationals, ints, floats or complex numbers, or polynomials in one
+        variable count, at which the value is the composed polynomial.
         """
         if len(point) != self.nvars:
             raise ValueError(
@@ -216,39 +221,6 @@ class Polynomial:
                 continue
             res[mono[:j] + mono[j + 1 :]] = coef
         return Polynomial(self.nvars - 1, res)
-
-    def substitute(self, assignment: dict) -> "Polynomial":
-        """Replace variables by polynomials; unlisted variables stay fixed.
-
-        ``assignment`` maps variable indices to Polynomial values in the
-        same variable count.  Used for coordinate shears.
-        """
-        n = self.nvars
-        images = []
-        for i in range(n):
-            img = assignment.get(i)
-            if img is None:
-                img = Polynomial.variable(i, n)
-            elif img.nvars != n:
-                raise ValueError("substitution image has wrong variable count")
-            images.append(img)
-        # cache powers of each image as needed
-        power_cache = [{0: Polynomial.constant(n, ONE)} for _ in range(n)]
-
-        def power(i, e):
-            cache = power_cache[i]
-            if e not in cache:
-                cache[e] = power(i, e - 1) * images[i]
-            return cache[e]
-
-        total = Polynomial(n)
-        for mono, coef in self.terms.items():
-            part = Polynomial.constant(n, coef)
-            for i, e in enumerate(mono):
-                if e:
-                    part = part * power(i, e)
-            total = total + part
-        return total
 
     # -- interchange ----------------------------------------------------
 

@@ -98,14 +98,18 @@ class ProjectivePoint:
 
 
 def point_from_json(coords) -> ProjectivePoint:
+    """A point from its JSON coordinates: "num/den" strings and integers are
+    exact, floats and [re, im] pairs floating; booleans are rejected."""
     vals = []
     for c in coords:
         if isinstance(c, str):
             vals.append(parse_rational(c))
         elif isinstance(c, (list, tuple)):
             vals.append(complex(float(c[0]), float(c[1])))
-        elif isinstance(c, (int, float)):
-            vals.append(float(c))
+        elif isinstance(c, int) and not isinstance(c, bool):
+            vals.append(rational(c))
+        elif isinstance(c, float):
+            vals.append(c)
         else:
             raise ValueError(f"bad coordinate {c!r}")
     return ProjectivePoint(vals)

@@ -5,11 +5,12 @@ g_k - x_k g_j = 0 (k != j); the remaining eigenpoints lie on x_j = 0,
 where the eigenscheme is that of the restricted tensor cut by the
 restricted g_j, so the solver recurses into one lower projective
 dimension with g_j as one more equation.  Every level, P^1 included,
-goes through one engine: a grevlex basis, then the rational univariate
-representation that ``groebner.fglm`` checks exactly over Q, after a
-random separating shear with recorded seed when the unsheared chart is not
-in shape position.  Points with rational coordinates are produced exactly;
-the rest are complex doubles read off that checked representation.
+goes through one engine: one grevlex basis per chart, then the rational
+univariate representation that ``groebner.fglm`` checks exactly over Q, in
+the last variable z or, when z does not separate the chart's points, in a
+random linear form u = z + sum c_i x_i with recorded seed, read off the same
+basis.  Points with rational coordinates are produced exactly; the rest are
+complex doubles read off that checked representation.
 """
 
 from __future__ import annotations
@@ -205,15 +206,6 @@ def solve_zero_dimensional(system, rng=None):
     return _solve_by_elimination(nonzero, k, rng)
 
 
-def _shear_sub(k: int, coeffs):
-    """Substitution sending the last variable Z to Z - sum coeffs[i] x_i."""
-    z = Polynomial.variable(k - 1, k)
-    expr = z
-    for i, c in enumerate(coeffs):
-        expr = expr - Polynomial.variable(i, k) * rational(c)
-    return {k - 1: expr}
-
-
 def _unshear(coords, coeffs):
     *rest, zp = coords
     z = zp
@@ -223,25 +215,24 @@ def _unshear(coords, coeffs):
 
 
 def _solve_by_elimination(polys, k, rng):
-    """Shear to shape position, grevlex basis, FGLM, univariate roots.
+    """Grevlex basis, a separating element, FGLM, univariate roots.
 
-    When no shear tried puts the chart in shape position the chart gives
-    no points, and its note says so; the solve then stays uncertified.
+    The basis is computed once.  The first attempt reads the rational
+    univariate representation in the last variable z; each later one in
+    u = z + sum c_i x_i for random integers c_i (the shear), from the same
+    basis, and ``_unshear`` recovers z from u.  When no shear tried puts
+    the chart in shape position the chart gives no points, and its note
+    says so; the solve then stays uncertified.
     """
+    basis = gb_engine.buchberger(polys, k)
     last_note = None
     for attempt in range(SHEAR_RETRIES + 1):
         if attempt == 0:
             coeffs = [0] * (k - 1)
         else:
             coeffs = [rng.randint(1, 30) * rng.choice([1, -1]) for _ in range(k - 1)]
-        if any(coeffs):
-            sub = _shear_sub(k, coeffs)
-            sheared = [p.substitute(sub) for p in polys]
-        else:
-            sheared = polys
         try:
-            basis = gb_engine.buchberger(sheared, k)
-            lex = gb_engine.fglm(basis, k)
+            lex = gb_engine.fglm(basis, k, coeffs)
         except gb_engine.PositiveDimensionalError as exc:
             return ChartResult([], positive_dimensional=True, notes=[str(exc)])
         if lex.dimension == 0:

@@ -71,6 +71,21 @@ def test_verify_random_points_no(tmp_path):
     assert run(["verify", str(path), "--degree", "3"]) == 2
 
 
+def test_verify_integer_points_file(fermat_files, tmp_path, capsys):
+    # JSON integer coordinates are exact, so the decision is the exact one
+    _, points = fermat_files
+    data = json.loads(points.read_text())
+    for entry in data["points"]:
+        entry["coords"] = [int(c) for c in entry["coords"]]
+    path = tmp_path / "integers.json"
+    path.write_text(json.dumps(data))
+    code = run(["verify", str(path), "--degree", "3", "--symmetric", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["decision"] == "YES"
+    assert not any("floating" in d for d in out["diagnostics"])
+
+
 def test_verify_cardinality_warning(fermat_files, tmp_path, capsys):
     _, points = fermat_files
     data = json.loads(points.read_text())

@@ -9,7 +9,7 @@ from eigenpoints import unipoly
 from eigenpoints.multipoly import Polynomial
 from eigenpoints.rationals import rational
 from eigenpoints.roots import univariate_roots
-from eigenpoints.solver import chart_system, solve_zero_dimensional
+from eigenpoints.solver import chart_system, eigenpoints, solve_zero_dimensional
 from eigenpoints.tensors import fermat_tensor
 
 from conftest import random_tensor
@@ -77,15 +77,16 @@ def test_inconsistent_system_empty_quotient():
     assert lex.dimension == 0
 
 
+def _unit_cube():
+    return [v * v - v for v in (Polynomial.variable(i, 3) for i in range(3))]
+
+
 def test_three_variable_fermat_chart():
-    # {x_k^2 - x_k} sheared by z -> z + 2x + 4y: binary weights separate the
-    # unit grid, so z' takes 8 distinct values
-    vars3 = [Polynomial.variable(i, 3) for i in range(3)]
-    sys3 = [v * v - v for v in vars3]
-    sub = {2: vars3[2] - vars3[0] * rational(2) - vars3[1] * rational(4)}
-    sheared = [p.substitute(sub) for p in sys3]
-    gb = GB.buchberger(sheared, 3)
-    lex = GB.fglm(gb, 3)
+    # {x_k^2 - x_k} read in u = z + 2x + 4y: binary weights separate the
+    # unit grid, so u takes 8 distinct values
+    gb = GB.buchberger(_unit_cube(), 3)
+    assert not GB.fglm(gb, 3).in_shape_position()
+    lex = GB.fglm(gb, 3, [2, 4])
     assert lex.dimension == 8
     assert lex.in_shape_position()
     roots = univariate_roots(lex.eliminant)
@@ -132,15 +133,6 @@ def test_groebner_property_spolys_reduce_to_zero():
             for j, lj in enumerate(leads):
                 if i != j:
                     assert not packing.divides(li, lj)
-
-
-def test_fglm_elements_lie_in_ideal():
-    # every lex basis element must reduce to zero against the grevlex basis
-    gb = GB.buchberger(_grid_system_sheared(), 2)
-    lex = GB.fglm(gb, 2)
-    assert "elements" not in vars(lex)  # built on first read only
-    for p in lex.elements:
-        assert _reduces_to_zero(p, gb)
 
 
 def test_fglm_dimension_matches_sympy_oracle():
@@ -191,29 +183,80 @@ def _chart_basis(d, seed):
     return GB.buchberger(chart_system(random_tensor(3, d, seed), 0), 3)
 
 
-@pytest.mark.parametrize("d", [3, 4])
-def test_fglm_rur_relations_lie_in_ideal(d):
-    # p(z) and every (p/p_sq)(z) (p_sq'(z) x_i - g_i(z)) reduce to zero against
-    # the grevlex basis, a check that does not go through fglm's own
-    gb = _chart_basis(d, 17)
-    lex = GB.fglm(gb, 3)
+def _fermat_chart(d):
+    return chart_system(fermat_tensor(3, d).to_partial(), 0)
+
+
+def _solver_shear(d):
+    # the shear that separates the points of the Fermat (3,d) chart x_0 = 1
+    shear = eigenpoints(fermat_tensor(3, d), seed=0).seed_info["shears"]["x0=1"]
+    assert any(shear)
+    return shear
+
+
+def _sheared(polys, shear):
+    # the system in the coordinates (x, u): z -> u - sum shear[i] x_i
+    k = polys[0].nvars
+    xs = [Polynomial.variable(i, k) for i in range(k)]
+    u = xs[-1] - sum((x * rational(c) for x, c in zip(xs, shear)), Polynomial.zero(k))
+    return [p.evaluate(xs[:-1] + [u]) for p in polys]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(lambda: (_chart_basis(3, 17), 3, None), id="3"),
+        pytest.param(lambda: (_chart_basis(4, 17), 3, None), id="4"),
+        pytest.param(lambda: (GB.buchberger(_grid_system_sheared(), 2), 2, None), id="grid"),
+        pytest.param(
+            lambda: (GB.buchberger(_fermat_chart(4), 3), 3, _solver_shear(4)),
+            id="Fermat (3,4) sheared",
+        ),
+    ],
+)
+def test_fglm_rur_relations_lie_in_ideal(case):
+    # p(u) and every (p/p_sq)(u) (p_sq'(u) x_i - g_i(u)) reduce to zero against
+    # the grevlex basis, u = z + sum c_i x_i, a check that does not go through
+    # fglm's own
+    gb, k, shear = case()
+    lex = GB.fglm(gb, k, shear)
     assert lex.in_shape_position()
-    assert lex.dimension == len(lex.eliminant) - 1 == len(GB.quotient_basis(gb, 3))
-    assert set(lex.numerators) == {0, 1}
-    z = lambda c: unipoly.to_multipoly(c, 3, 2)  # noqa: E731
+    assert lex.dimension == len(lex.eliminant) - 1 == len(GB.quotient_basis(gb, k))
+    assert set(lex.numerators) == set(range(k - 1))
+    xs = [Polynomial.variable(i, k) for i in range(k)]
+    u = xs[-1] + sum((x * rational(c) for x, c in zip(xs, shear or ())), Polynomial.zero(k))
+    in_u = lambda c: unipoly.to_multipoly(c, k, k - 1).evaluate(xs[:-1] + [u])  # noqa: E731
     cofactor = unipoly.exact_div(lex.eliminant, lex.squarefree)
-    relations = [z(lex.eliminant)] + [
-        z(unipoly.mul(cofactor, lex.denominator)) * Polynomial.variable(i, 3)
-        - z(unipoly.mul(cofactor, lex.numerators[i]))
-        for i in range(2)
+    relations = [in_u(lex.eliminant)] + [
+        in_u(unipoly.mul(cofactor, lex.denominator)) * xs[i]
+        - in_u(unipoly.mul(cofactor, lex.numerators[i]))
+        for i in range(k - 1)
     ]
     for p in relations:
         assert _reduces_to_zero(p, gb)
     # a numerator off by one in its constant term is not in the ideal
-    wrong = z(lex.denominator) * Polynomial.variable(0, 3) - z(
-        unipoly.add(lex.numerators[0], [rational(1)])
-    )
+    wrong = in_u(lex.denominator) * xs[0] - in_u(unipoly.add(lex.numerators[0], [rational(1)]))
     assert not _reduces_to_zero(wrong, gb)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(lambda: (_fermat_chart(3), _solver_shear(3)), id="Fermat (3,3)"),
+        pytest.param(lambda: (_fermat_chart(4), _solver_shear(4)), id="Fermat (3,4)"),
+        pytest.param(lambda: (_unit_cube(), [2, 4]), id="unit cube"),
+    ],
+)
+def test_fglm_shear_equals_the_sheared_system(case):
+    # the representation in u read off the basis of F is the one in the last
+    # variable of the basis of F in the coordinates (x, u)
+    polys, shear = case()
+    lex = GB.fglm(GB.buchberger(polys, 3), 3, shear)
+    ref = GB.fglm(GB.buchberger(_sheared(polys, shear), 3), 3)
+    assert lex.in_shape_position() and ref.in_shape_position()
+    assert lex.eliminant == ref.eliminant
+    assert lex.squarefree == ref.squarefree
+    assert lex.numerators == ref.numerators
 
 
 def _fermat_chart_basis():
@@ -226,7 +269,7 @@ def test_fglm_fermat_chart_not_in_shape_position():
     lex = GB.fglm(gb, 3)
     assert not lex.in_shape_position()
     assert lex.numerators == {} and lex.squarefree is None
-    assert lex.eliminant == [] and lex.elements == []
+    assert lex.eliminant == []
     assert 0 < lex.krylov_rank < lex.dimension == len(GB.quotient_basis(gb, 3))
     # proved over Q: the Krylov vectors 1, z, ..., z^(D-1) are dependent
     assert _krylov_determinant(gb) == 0

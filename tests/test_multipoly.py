@@ -84,12 +84,15 @@ def test_pow_matches_repeated_mul():
     assert (p**0) == Polynomial.constant(2, rational(1))
 
 
-def test_substitute_shear():
-    # p(x, y) -> p(x + 2y, y) moves roots as expected
-    p = Polynomial.from_text("1 * x0^2 + -1 * x0", 2)  # x^2 - x
-    sheared = p.substitute({0: Polynomial.variable(0, 2) + Polynomial.variable(1, 2) * rational(2)})
-    # (x + 2y)^2 - (x + 2y) vanishes at x = 1 - 2y
-    assert sheared.evaluate([rational(-1), rational(1)]) == 0
+def test_evaluate_composes_polynomials():
+    # p(x, y) -> p(x + 2y, y), constant term included, moves roots as expected
+    x, y = (Polynomial.variable(i, 2) for i in range(2))
+    p = Polynomial.from_text("1 * x0^2 + -1 * x0 + 3", 2)  # x^2 - x + 3
+    sheared = p.evaluate([x + y * rational(2), y])
+    assert sheared == (x + y * 2) * (x + y * 2) - (x + y * 2) + 3
+    # the composition agrees with evaluating p at the image point
+    for a, b in [(rational(-1), rational(1)), (rational(2, 3), rational(-5))]:
+        assert sheared.evaluate([a, b]) == p.evaluate([a + 2 * b, b])
 
 
 def test_dehomogenize_and_restrict():

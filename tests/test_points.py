@@ -64,6 +64,19 @@ def test_point_from_json_forms():
     assert not q.exact
 
 
+def test_point_from_json_integers_are_exact():
+    p = point_from_json([1, 0, 2, 3])
+    assert p.exact
+    assert p.coords == (rational(1), rational(0), rational(2), rational(3))
+    # an integer beyond the double range parses exactly too
+    big = point_from_json([10**400, 1, "1/2"])
+    assert big.exact and big.coords[1] == rational(1, 10**400)
+    # floats stay floating, and booleans are no coordinates
+    assert not point_from_json([1.0, 0, 2]).exact
+    with pytest.raises(ValueError):
+        point_from_json([True, 0, 1])
+
+
 def test_is_real():
     assert ProjectivePoint([rational(1), rational(2)]).is_real()
     assert ProjectivePoint([1.0, 2.0 + 1e-12j]).is_real()

@@ -92,6 +92,23 @@ def test_no_separating_shear_leaves_the_solve_uncertified(monkeypatch):
     assert "found total multiplicity 0, generic length is 7" in sol.diagnostics
 
 
+def test_one_basis_per_chart(monkeypatch):
+    from eigenpoints import groebner
+
+    buchberger, calls = groebner.buchberger, []
+
+    def counted(polys, nvars):
+        calls.append(nvars)
+        return buchberger(polys, nvars)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    sol = eigenpoints(fermat_tensor(3, 4), seed=0)
+    assert sol.certified
+    # some chart needed a shear, and its attempts share one basis
+    assert any(any(c) for c in sol.seed_info["shears"].values())
+    assert len(calls) == len(sol.charts_solved)
+
+
 def test_newton_cap_drops_the_root_and_leaves_the_solve_uncertified(monkeypatch):
     from eigenpoints import unipoly
 
