@@ -3,12 +3,12 @@
 The kernel comes from ``modular.kernel``: the reduced-echelon kernel basis,
 lifted from word-size primes and checked exactly over Q.  The basis is
 canonical and the rank is exact: no thresholds anywhere.  The rank is first
-read from one modular image (``modular.rank``), a proved lower bound; when
-that image is full, min(rows, cols), it is the rank and nothing is lifted,
-else the rank is cols minus the size of the lifted kernel.  Entries may be
-ints or rationals; int entries stay ints, so rows of ints go to ``modular``
-with only their content removed, and only rows holding rationals have
-denominators to clear.
+read from the pivots of one modular image (``modular.pivot_columns``), a
+proved lower bound; when that image is full, min(rows, cols), it is the
+rank and nothing is lifted, else the rank is cols minus the size of the
+lifted kernel.  Entries may be ints or rationals; int entries stay ints, so
+rows of ints go to ``modular`` with only their content removed, and only
+rows holding rationals have denominators to clear.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ class ExactMatrix:
         self.cols = len(self.entries[0]) if self.entries else 0
         if any(len(r) != self.cols for r in self.entries):
             raise ValueError("ragged matrix")
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[ZERO] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -66,7 +62,22 @@ class ExactMatrix:
 
     def rank_bound(self) -> int:
         """The rank of one modular image: a proved lower bound on the rank."""
-        return modular.rank(self._integer_rows(), self.cols)
+        return len(next(modular.pivot_columns(self._integer_rows(), self.cols)))
+
+    def independent_rows(self, rank: int) -> list:
+        """The rows that the first modular image with ``rank`` pivots picks, by index.
+
+        ``rank`` is the rank over Q.  The rows, denominators cleared, are the
+        images' columns, so each row independent modulo q of the rows before
+        it is picked, and the picked rows are independent over Q: with
+        ``rank`` of them, a basis of the row space.  After ``_PRIME_BUDGET``
+        images with fewer pivots, ArithmeticError.
+        """
+        columns = list(zip(*self._integer_rows()))
+        for pivots in modular.pivot_columns(columns, self.rows):
+            if len(pivots) == rank:
+                return pivots
+        raise ArithmeticError("no modular image of the given rank within the prime budget")
 
     def rank(self) -> int:
         bound = self.rank_bound()

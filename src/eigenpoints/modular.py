@@ -5,14 +5,14 @@ modulo word-size primes with numpy, the images are lifted to Q by Chinese
 remaindering and rational reconstruction (Monagan, ISSAC 2004), and a lift
 is accepted only once it passes an exact check over Q.  ``groebner.fglm``
 lifts Krylov data this way; ``kernel`` lifts reduced-echelon kernel bases.
-``rank`` lifts nothing: the rank of one image is a proved lower bound on the
-rank over Q.
+``pivot_columns`` lifts nothing: the pivot columns of an image are
+independent over Q, so their number is a proved lower bound on the rank.
 
-The images are row-reduced in int64 and reduced modulo q lazily
-(``_rref_mod``).  A lift attempt reconstructs each value over the common
-denominator of the values before it (``_reconstruct``), so only a value
-with a new denominator costs a half-gcd, and its answers are those of
-``_rational`` value by value.
+Every image is row-reduced by ``_rref_mod``, the one modular elimination of
+the package, in int64 and reduced modulo q lazily.  A lift attempt
+reconstructs each value over the common denominator of the values before it
+(``_reconstruct``), so only a value with a new denominator costs a
+half-gcd, and its answers are those of ``_rational`` value by value.
 """
 
 from __future__ import annotations
@@ -187,40 +187,30 @@ def _reconstruct(residues: list, m: int):
     return out
 
 
-def rank(int_rows: list, cols: int) -> int:
-    """The rank of the integer rows of A modulo one prime q below 2**31.
+def _images(int_rows: list, cols: int, bits: int):
+    """(q, the image of the integer rows of A modulo q) for the primes below 2**bits.
 
-    A proved lower bound on the rank over Q: a minor that vanishes over Q
-    vanishes modulo q, so rank(A mod q) <= rank(A).  Forward elimination
-    only, with no back-substitution and no row scaling.  The rows below a
-    pivot lose a multiple f of the pivot row, with f and the pivot row
-    reduced below q; the rest is reduced only when it is read, which is
-    safe because an entry loses at most cols such products, and
-    q < 2**_prime_bits(cols) keeps cols q**2 below 2**62.
+    At most ``_PRIME_BUDGET`` primes.  The rows become one int64 array, or
+    an object array when an entry passes 2**63, and each image is cast to
+    int64 after its reduction.
     """
-    q = next(_primes(_prime_bits(cols)))
     try:
-        a = np.array(int_rows, dtype=np.int64).reshape(len(int_rows), cols) % q
+        entries = np.array(int_rows, dtype=np.int64).reshape(len(int_rows), cols)
     except OverflowError:
-        a = (np.array(int_rows, dtype=object).reshape(len(int_rows), cols) % q).astype(np.int64)
-    r = 0
-    for c in range(cols):
-        if r == a.shape[0]:
-            break
-        col = a[r:, c] % q
-        nz = col.nonzero()[0]
-        if not nz.size:
-            continue
-        p = nz[0]
-        pivot = a[r + p, c:] % q
-        if p:
-            # row r, zero in column c, moves into the pivot row's place
-            a[r + p, c:] = a[r, c:]
-            col[p] = 0
-        f = col[1:] * pow(int(pivot[0]), -1, q) % q
-        a[r + 1 :, c:] -= f[:, None] * pivot
-        r += 1
-    return r
+        entries = np.array(int_rows, dtype=object).reshape(len(int_rows), cols)
+    for q in islice(_primes(bits), _PRIME_BUDGET):
+        yield q, (entries % q).astype(np.int64, copy=False)
+
+
+def pivot_columns(int_rows: list, cols: int):
+    """The pivot columns of A's images modulo the primes below 2**_prime_bits(cols).
+
+    The pivot columns of an image are independent modulo q, so over Q: a
+    minor that vanishes over Q vanishes modulo q.  Their number is a proved
+    lower bound on the rank over Q, and when it is the rank they are a
+    basis of the column space.
+    """
+    return (_rref_mod(a, q) for q, a in _images(int_rows, cols, _prime_bits(cols)))
 
 
 def kernel(int_rows: list, cols: int) -> list:
@@ -243,11 +233,9 @@ def kernel(int_rows: list, cols: int) -> list:
     raised, so every returned basis has been checked exactly.
     """
     sparse = [[(j, x) for j, x in enumerate(row) if x] for row in int_rows]
-    entries = np.array(int_rows, dtype=object).reshape(len(int_rows), cols)
     best, lift = None, None
     # the elimination alone needs only q**2 < 2**62
-    for q in islice(_primes(31), _PRIME_BUDGET):
-        a = (entries % q).astype(np.int64)
+    for q, a in _images(int_rows, cols, 31):
         pivots = _rref_mod(a, q)
         key = (-len(pivots), pivots)
         if best is not None and key > best:

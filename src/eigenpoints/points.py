@@ -8,6 +8,7 @@ serialize as "num/den" strings (exact) or [re, im] pairs (floating).
 from __future__ import annotations
 
 from bisect import insort
+from math import isfinite
 
 from .rationals import format_rational, is_rational, parse_rational, rational
 
@@ -97,19 +98,31 @@ class ProjectivePoint:
         return "(" + ", ".join(f"{z:.6g}" for z in self.as_complex()) + ")"
 
 
+def _double(x) -> float:
+    """x as a double; ValueError when it is past the double range or not finite."""
+    try:
+        value = float(x)
+    except OverflowError:
+        raise ValueError("coordinate past the double range") from None
+    if not isfinite(value):
+        raise ValueError(f"coordinate {value} is not finite")
+    return value
+
+
 def point_from_json(coords) -> ProjectivePoint:
     """A point from its JSON coordinates: "num/den" strings and integers are
-    exact, floats and [re, im] pairs floating; booleans are rejected."""
+    exact, floats and [re, im] pairs floating and finite; booleans are
+    rejected."""
     vals = []
     for c in coords:
         if isinstance(c, str):
             vals.append(parse_rational(c))
         elif isinstance(c, (list, tuple)):
-            vals.append(complex(float(c[0]), float(c[1])))
+            vals.append(complex(_double(c[0]), _double(c[1])))
         elif isinstance(c, int) and not isinstance(c, bool):
             vals.append(rational(c))
         elif isinstance(c, float):
-            vals.append(c)
+            vals.append(_double(c))
         else:
             raise ValueError(f"bad coordinate {c!r}")
     return ProjectivePoint(vals)
@@ -141,9 +154,6 @@ class PointSet:
 
     def __contains__(self, p):
         return any(p.same_point(q) for q in self.points)
-
-    def all_exact(self) -> bool:
-        return all(p.exact for p in self.points)
 
     def is_subset_of(self, other: "PointSet") -> bool:
         return all(p in other for p in self.points)

@@ -343,29 +343,21 @@ def in_kernel_span(report: KernelReport, tensor: PartialSymTensor) -> bool:
 def _complement_vectors(report: KernelReport):
     """Kernel basis vectors extending the degenerate subspace.
 
-    The kernel vectors are taken greedily, each one that keeps the rows
-    independent.  A full-rank modular image proves independence, so a first
-    pass reads one image per trial and lifts no kernel; it stops once it has
-    the dimension - degenerate_dimension vectors that the complement needs.
-    Only when an unlucky image leaves it short is the choice made again
-    with the exact rank.
+    The degenerate vectors, then the kernel vectors, go into one modular
+    image as columns (``ExactMatrix.independent_rows``); the kernel vectors
+    among its pivot columns are the complement.  The target rank is
+    len(degenerate) + dimension - degenerate_dimension, not the dimension:
+    with ``symmetric`` only degenerate_dimension of the degenerate tensors
+    lie in the kernel.  The degenerate vectors have disjoint supports, so
+    they are pivots modulo every prime, and each kernel vector independent
+    modulo q of the vectors before it is picked: the greedy choice over Q,
+    unless q moves a pivot right.
     """
     degenerate = degenerate_subspace(report.basis.n, report.basis.d)
-    need = report.dimension - report.degenerate_dimension
-    for exact in (False, True):
-        rows, complement = degenerate, []
-        for v in report.kernel_vectors:
-            if len(complement) == need:
-                break
-            trial = rows + [list(v)]
-            # rows stay independent, so v extends them exactly when trial is independent
-            matrix = ExactMatrix(trial).transpose()
-            if (matrix.rank() if exact else matrix.rank_bound()) == len(trial):
-                rows = trial
-                complement.append(v)
-        if len(complement) == need:
-            break
-    return complement
+    vectors = report.kernel_vectors
+    target = len(degenerate) + report.dimension - report.degenerate_dimension
+    picked = ExactMatrix(degenerate + vectors).independent_rows(target)
+    return [vectors[k - len(degenerate)] for k in picked[len(degenerate) :]]
 
 
 def symmetric_form_from_tensor(t: PartialSymTensor) -> SymmetricTensor:

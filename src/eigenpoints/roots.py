@@ -34,18 +34,11 @@ def _float_coeffs(c):
 
 def _newton_polish(coeffs_f, x):
     d = [coeffs_f[i] * i for i in range(1, len(coeffs_f))]
-    fx = _horner(coeffs_f, x)
-    dfx = _horner(d, x)
+    fx = unipoly.evaluate(coeffs_f, x)
+    dfx = unipoly.evaluate(d, x)
     if dfx == 0:
         return x
     return x - fx / dfx
-
-
-def _horner(coeffs_f, x):
-    total = 0.0
-    for c in reversed(coeffs_f):
-        total = total * x + c
-    return total
 
 
 def _rational_candidates(z):

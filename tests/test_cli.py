@@ -86,6 +86,18 @@ def test_verify_integer_points_file(fermat_files, tmp_path, capsys):
     assert not any("floating" in d for d in out["diagnostics"])
 
 
+@pytest.mark.parametrize(
+    "part", ["1" + "0" * 400, "1e400", "-Infinity", "NaN"], ids=["10**400", "1e400", "-inf", "nan"]
+)
+def test_verify_rejects_a_pair_part_that_is_no_finite_double(tmp_path, capsys, part):
+    # an integer past the double range, one that JSON reads as inf, and the
+    # non-finite constants: each is a bad points file, not a failed solve
+    path = tmp_path / "points.json"
+    path.write_text('{"n": 3, "points": [{"coords": [[%s, 0], 1, 1, 1], "mult": 1}]}' % part)
+    assert run(["verify", str(path), "--degree", "3"]) == 1
+    assert "bad points file" in capsys.readouterr().err
+
+
 def test_verify_cardinality_warning(fermat_files, tmp_path, capsys):
     _, points = fermat_files
     data = json.loads(points.read_text())

@@ -230,3 +230,13 @@ def test_rank_bound_on_an_unlucky_prime(monkeypatch, kernel_calls, fault):
     assert m.rank_bound() == (3 if fault == "rank" else 4)
     assert m.rank() == 4
     assert len(kernel_calls) == (1 if fault == "rank" else 0)
+
+
+def test_independent_rows_picks_each_row_that_extends_the_rows_before(monkeypatch):
+    rows = [[1, 2, 0], [2, 4, 0], [0, 1, rational(1, 3)], [1, 3, rational(1, 3)]]
+    m = ExactMatrix(rows)
+    assert m.independent_rows(2) == [0, 2]
+    # no image has more pivots than the rank over Q
+    monkeypatch.setattr(modular, "_PRIME_BUDGET", 3)
+    with pytest.raises(ArithmeticError):
+        m.independent_rows(3)

@@ -77,6 +77,18 @@ def test_point_from_json_integers_are_exact():
         point_from_json([True, 0, 1])
 
 
+def test_point_from_json_rejects_doubles_that_are_not_finite():
+    for part in (10**400, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            point_from_json([[part, 0.0], 1, 1])
+        with pytest.raises(ValueError):
+            point_from_json([[1.0, part], 1, 1])
+    with pytest.raises(ValueError):
+        point_from_json([float("inf"), 1.0, 0.0])
+    # large finite doubles are accepted
+    assert not point_from_json([[1e308, -1e308], 1.0, 0.0]).exact
+
+
 def test_is_real():
     assert ProjectivePoint([rational(1), rational(2)]).is_real()
     assert ProjectivePoint([1.0, 2.0 + 1e-12j]).is_real()

@@ -484,13 +484,28 @@ def _greedy_exact_complement(report):
     return complement
 
 
-def test_complement_vectors_lift_no_kernel(kernel_calls):
+@pytest.fixture(scope="module")
+def complement_reports():
+    """Kernel reports with a proper tensor, their kernels already lifted.
+
+    The (3,3) YES sets, the 10-point enlarge sets, and the symmetric reports
+    of the Fermat (3,3) and (3,4) points, where not every degenerate tensor
+    lies in the kernel.
+    """
     yes_sets = [eigenpoints(random_tensor(3, 3, s), seed=0).point_set() for s in SEEDS]
     enlarge_sets = [_random_points(3, 10, s, box=10) for s in SEEDS]
-    for pts in yes_sets + enlarge_sets:
-        report = R.eigenscheme_kernel(pts, 3, 3)
+    reports = [R.eigenscheme_kernel(pts, 3, 3) for pts in yes_sets + enlarge_sets]
+    for d in (3, 4):
+        pts = eigenpoints(fermat_tensor(3, d), seed=0).point_set()
+        reports.append(R.eigenscheme_kernel(pts, 3, d, symmetric=True))
+    for report in reports:
         assert report.exact_vectors_available and report.contains_proper_tensor
-        report.kernel_vectors  # lift the kernel itself before counting
+        report.kernel_vectors
+    return reports
+
+
+def test_complement_vectors_lift_no_kernel(kernel_calls, complement_reports):
+    for report in complement_reports:
         del kernel_calls[:]
         complement = R._complement_vectors(report)
         assert kernel_calls == []
@@ -498,11 +513,40 @@ def test_complement_vectors_lift_no_kernel(kernel_calls):
         assert complement == _greedy_exact_complement(report)
 
 
+def test_complement_vectors_take_one_image(monkeypatch, complement_reports):
+    # the degenerate and kernel vectors are the columns of one image
+    rref, images = modular._rref_mod, []
+
+    def counting(a, q):
+        images.append(a.shape)
+        return rref(a, q)
+
+    monkeypatch.setattr(modular, "_rref_mod", counting)
+    for report in complement_reports:
+        del images[:]
+        R._complement_vectors(report)
+        columns = len(R.degenerate_subspace(3, report.basis.d)) + report.dimension
+        assert images == [(report.basis.dimension, columns)]
+
+
 def test_complement_vectors_recover_from_an_unlucky_image(monkeypatch):
-    # an image that never shows full rank leaves the first pass short; the
-    # exact pass then picks the same vectors
+    # the first image loses a pivot, so it is short of the target rank and
+    # the next prime picks the complement
     pts = _random_points(3, 10, SEEDS[0], box=10)
     report = R.eigenscheme_kernel(pts, 3, 3)
     expected = _greedy_exact_complement(report)
-    monkeypatch.setattr(ExactMatrix, "rank_bound", lambda self: 0)
+    rref, primes = modular._rref_mod, []
+
+    def losing_first(a, q):
+        primes.append(q)
+        pivots = rref(a, q)
+        return pivots[:-1] if len(primes) == 1 else pivots
+
+    monkeypatch.setattr(modular, "_rref_mod", losing_first)
     assert R._complement_vectors(report) == expected
+    assert len(primes) == 2 and primes[0] != primes[1]
+    # with one prime allowed, the unlucky image is the last
+    del primes[:]
+    monkeypatch.setattr(modular, "_PRIME_BUDGET", 1)
+    with pytest.raises(ArithmeticError):
+        R._complement_vectors(report)

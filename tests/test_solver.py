@@ -279,6 +279,34 @@ def test_curve_membership_fermat(fermat_solution):
     assert report["all_exact_zero"]
 
 
+def test_residual_checks_off_the_eigenscheme():
+    from types import SimpleNamespace
+
+    from eigenpoints.solver import RESIDUAL_TOL, _check_residuals, _poly_scale
+
+    t = fermat_tensor(3, 3).to_partial()
+    gens = minor_ideal_generators(EigenMatrix(t))
+    on = ProjectivePoint([rational(c) for c in FERMAT_15[0]])
+    off = ProjectivePoint([rational(c) for c in (1, 2, 3, 5)])
+    off_float = ProjectivePoint([1.0, 2.0, 3.0, 5.0])
+    diagnostics = []
+    assert not _check_residuals([(on, 1), (off, 1), (off_float, 1)], gens, diagnostics)
+    # the first minor that fails at each point is named
+    failing = next(g for g in gens if g.evaluate(list(off.coords)) != 0)
+    values = [(abs(complex(g.evaluate(list(off_float.as_complex())))), g) for g in gens]
+    value = next(v for v, g in values if v > RESIDUAL_TOL * _poly_scale(g))
+    assert diagnostics == [
+        f"exact point {off!r} fails minor {failing.to_text()}",
+        f"point {off_float!r} residual {value:.2e} on a minor",
+    ]
+    exact = curve_membership_check(t, 0, 1, SimpleNamespace(points=[(on, 1), (off, 1)]))
+    assert exact["max_residual"] == float("inf") and exact["count"] == 4
+    assert not exact["all_exact_zero"] and not exact["passes"]
+    floating = curve_membership_check(t, 2, 3, SimpleNamespace(points=[(off_float, 1)]))
+    assert floating["max_residual"] > RESIDUAL_TOL and not floating["all_exact_zero"]
+    assert floating["count"] == 2 and not floating["passes"]
+
+
 def test_joint_deleted_column_system_matches():
     # E(T) in the chart equals the joint zero set of the M_0 and M_1 minors
     t = random_tensor(3, 3, seed=SEEDS[4])
