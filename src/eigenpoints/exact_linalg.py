@@ -64,20 +64,20 @@ class ExactMatrix:
         """The rank of one modular image: a proved lower bound on the rank."""
         return len(next(modular.pivot_columns(self._integer_rows(), self.cols)))
 
-    def independent_rows(self, rank: int) -> list:
-        """The rows that the first modular image with ``rank`` pivots picks, by index.
+    def independent_rows(self, count: int) -> list:
+        """The rows that the first modular image with at least ``count`` pivots picks, by index.
 
-        ``rank`` is the rank over Q.  The rows, denominators cleared, are the
-        images' columns, so each row independent modulo q of the rows before
-        it is picked, and the picked rows are independent over Q: with
-        ``rank`` of them, a basis of the row space.  After ``_PRIME_BUDGET``
-        images with fewer pivots, ArithmeticError.
+        The rows, denominators cleared, are the images' columns, so each row
+        independent modulo q of the rows before it is picked, and the picked
+        rows are independent over Q.  With ``count`` the rank over Q, they
+        are the greedy basis of the row space over Q.  After
+        ``_PRIME_BUDGET`` images with fewer pivots, ArithmeticError.
         """
         columns = list(zip(*self._integer_rows()))
         for pivots in modular.pivot_columns(columns, self.rows):
-            if len(pivots) == rank:
+            if len(pivots) >= count:
                 return pivots
-        raise ArithmeticError("no modular image of the given rank within the prime budget")
+        raise ArithmeticError("no modular image with that many pivots within the prime budget")
 
     def rank(self) -> int:
         bound = self.rank_bound()

@@ -343,21 +343,20 @@ def in_kernel_span(report: KernelReport, tensor: PartialSymTensor) -> bool:
 def _complement_vectors(report: KernelReport):
     """Kernel basis vectors extending the degenerate subspace.
 
-    The degenerate vectors, then the kernel vectors, go into one modular
-    image as columns (``ExactMatrix.independent_rows``); the kernel vectors
-    among its pivot columns are the complement.  The target rank is
-    len(degenerate) + dimension - degenerate_dimension, not the dimension:
-    with ``symmetric`` only degenerate_dimension of the degenerate tensors
-    lie in the kernel.  The degenerate vectors have disjoint supports, so
-    they are pivots modulo every prime, and each kernel vector independent
-    modulo q of the vectors before it is picked: the greedy choice over Q,
-    unless q moves a pivot right.
+    The degenerate vectors, then the kernel vectors, are the columns of one
+    modular image (``ExactMatrix.independent_rows``).  The degenerate ones
+    have disjoint supports, so they are pivots modulo every prime; the first
+    dimension - degenerate_dimension kernel pivots after them, the greedy
+    choice over Q in a lucky image, are the complement.  With ``symmetric``
+    not every degenerate tensor is in the kernel, and on floating input the
+    rounded kernel vectors may pass that rank, so the image need only reach it.
     """
     degenerate = degenerate_subspace(report.basis.n, report.basis.d)
     vectors = report.kernel_vectors
-    target = len(degenerate) + report.dimension - report.degenerate_dimension
-    picked = ExactMatrix(degenerate + vectors).independent_rows(target)
-    return [vectors[k - len(degenerate)] for k in picked[len(degenerate) :]]
+    start = len(degenerate)
+    stop = start + report.dimension - report.degenerate_dimension
+    picked = ExactMatrix(degenerate + vectors).independent_rows(stop)
+    return [vectors[k - start] for k in picked[start:stop]]
 
 
 def symmetric_form_from_tensor(t: PartialSymTensor) -> SymmetricTensor:

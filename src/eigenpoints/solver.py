@@ -435,36 +435,30 @@ def _solve_projective(slices, filters, rng, charts, diagnostics, shears, prefix,
     return out
 
 
-def _residuals_at(p, exact, residuals):
-    """Per minor, from its ``_integer_residuals`` and ``_complex_residuals``
-    forms: its residual at the point p and the scale it is measured against.
-
-    At an exact point, 0.0 where ``_vanishes_at`` holds and inf elsewhere,
-    against 1.0; at a floating point, |g(p)| against ``_poly_scale``.
-    """
-    if p.exact:
-        xs = _integer_point(p.coords)
-        for terms in exact:
-            yield (0.0 if _vanishes_at(terms, xs) else float("inf")), 1.0
-    else:
-        coords = p.as_complex()
-        for g, scale in residuals:
-            yield abs(complex(g.evaluate(coords))), scale
+def _residuals_at(p, residuals):
+    """|g(p)| and its scale for each minor g in ``_complex_residuals`` form, at a floating p."""
+    coords = p.as_complex()
+    return ((abs(complex(g.evaluate(coords))), scale) for g, scale in residuals)
 
 
 def _check_residuals(points, gens, diagnostics) -> bool:
     ok = True
-    exact, residuals = _integer_residuals(gens), _complex_residuals(gens)
+    residuals = _complex_residuals(gens)
+    exact = _integer_residuals(gens)
     for p, _ in points:
-        for g, (val, scale) in zip(gens, _residuals_at(p, exact, residuals)):
-            if val > RESIDUAL_TOL * scale:
-                diagnostics.append(
-                    f"exact point {p!r} fails minor {g.to_text()}"
-                    if p.exact
-                    else f"point {p!r} residual {val:.2e} on a minor"
-                )
-                ok = False
-                break
+        if p.exact:
+            xs = _integer_point(p.coords)
+            for g, terms in zip(gens, exact):
+                if not _vanishes_at(terms, xs):
+                    diagnostics.append(f"exact point {p!r} fails minor {g.to_text()}")
+                    ok = False
+                    break
+        else:
+            for val, scale in _residuals_at(p, residuals):
+                if val > RESIDUAL_TOL * scale:
+                    diagnostics.append(f"point {p!r} residual {val:.2e} on a minor")
+                    ok = False
+                    break
     return ok
 
 
@@ -475,14 +469,19 @@ def curve_membership_check(t: PartialSymTensor, i: int, j: int, solution: EigenS
     report = {"i": i, "j": j, "max_residual": 0.0, "all_exact_zero": True, "count": 0}
     for deleted in (i, j):
         gens = minor_ideal_generators(EigenMatrix(t, (deleted,)))
-        exact, residuals = _integer_residuals(gens), _complex_residuals(gens)
+        residuals = _complex_residuals(gens)
+        exact = _integer_residuals(gens)
         for p, _ in solution.points:
             report["count"] += 1
-            if not p.exact:
+            if p.exact:
+                xs = _integer_point(p.coords)
+                for terms in exact:
+                    if not _vanishes_at(terms, xs):
+                        report["all_exact_zero"] = False
+                        report["max_residual"] = float("inf")
+            else:
                 report["all_exact_zero"] = False
-            for val, scale in _residuals_at(p, exact, residuals):
-                if val:
-                    report["all_exact_zero"] = False
-                report["max_residual"] = max(report["max_residual"], val / scale)
+                for val, scale in _residuals_at(p, residuals):
+                    report["max_residual"] = max(report["max_residual"], val / scale)
     report["passes"] = report["max_residual"] <= RESIDUAL_TOL or report["all_exact_zero"]
     return report

@@ -236,6 +236,8 @@ def test_independent_rows_picks_each_row_that_extends_the_rows_before(monkeypatc
     rows = [[1, 2, 0], [2, 4, 0], [0, 1, rational(1, 3)], [1, 3, rational(1, 3)]]
     m = ExactMatrix(rows)
     assert m.independent_rows(2) == [0, 2]
+    # a smaller count takes the same image, with all its pivots
+    assert m.independent_rows(1) == [0, 2]
     # no image has more pivots than the rank over Q
     monkeypatch.setattr(modular, "_PRIME_BUDGET", 3)
     with pytest.raises(ArithmeticError):

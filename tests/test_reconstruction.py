@@ -375,6 +375,26 @@ def test_enlarge_floating_input_reports_a_failed_solve():
     assert result["diagnostics"][0].startswith("draw 0: elimination error")
 
 
+def test_enlarge_floating_points_past_the_target_rank():
+    # five floating points: the kernel's echelon pivots spread over several
+    # blocks, so the rounded vectors do not span the degenerate tensors
+    # exactly and the columns' rank passes the target; the complement keeps
+    # the first dimension - degenerate_dimension kernel pivots
+    rng = random.Random(2)
+    pts = [ProjectivePoint([rng.uniform(-1, 1) for _ in range(4)]) for _ in range(5)]
+    report = R.eigenscheme_kernel(pts, 3, 3)
+    assert report.rationalized
+    degenerate = R.degenerate_subspace(3, 3)
+    need = report.dimension - report.degenerate_dimension
+    columns = ExactMatrix(degenerate + report.kernel_vectors).transpose()
+    assert columns.rank_bound() > len(degenerate) + need
+    complement = R._complement_vectors(report)
+    assert len(complement) == need
+    assert ExactMatrix(degenerate + complement).transpose().rank() == len(degenerate) + need
+    result = R.enlarge(pts, 3, seed=0, retries=1)
+    assert result["seeds_used"] and result["diagnostics"]
+
+
 def _complex_points(count, seed=3):
     rng = random.Random(seed)
     return [
