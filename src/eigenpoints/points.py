@@ -8,7 +8,7 @@ serialize as "num/den" strings (exact) or [re, im] pairs (floating).
 from __future__ import annotations
 
 from bisect import insort
-from math import isfinite
+from math import isfinite, ldexp
 
 from .rationals import format_rational, is_rational, parse_rational, rational
 
@@ -30,7 +30,7 @@ class ProjectivePoint:
             lead = next(c for c in coords if c != 0)
             self.coords = tuple(c / lead for c in coords)
         else:
-            zs = [complex(c) for c in coords]
+            zs = _in_range([complex(c) for c in coords])
             mags = [abs(z) for z in zs]
             top = max(mags)
             if top == 0.0:
@@ -96,6 +96,22 @@ class ProjectivePoint:
         if self.exact:
             return "(" + ", ".join(format_rational(c) for c in self.coords) + ")"
         return "(" + ", ".join(f"{z:.6g}" for z in self.as_complex()) + ")"
+
+
+# a coordinate part at or past this size is scaled down before normalization
+_BIG = 2.0**1020
+
+
+def _in_range(zs: list) -> list:
+    """zs, or zs times a power of two (the same projective point) when a part
+    is so large that its modulus, or a complex quotient by it, would overflow.
+
+    The scaling is exact but for parts that underflow, so points of moderate
+    size keep their coordinates bit for bit.
+    """
+    if max(max(abs(z.real), abs(z.imag)) for z in zs) < _BIG:
+        return zs
+    return [complex(ldexp(z.real, -8), ldexp(z.imag, -8)) for z in zs]
 
 
 def _double(x) -> float:

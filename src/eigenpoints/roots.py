@@ -1,12 +1,15 @@
 """Univariate root extraction: exact rationals first, floating complex after.
 
-Strategy: exact square-free decomposition fixes multiplicities; rational
-roots are recovered from numeric candidates by continued-fraction
-rationalization and verified exactly; the rest get start points from the
-companion-matrix eigensolver and one double-precision Newton step.
+Strategy: exact square-free decomposition fixes multiplicities (a caller
+that already holds it passes it on); rational roots are recovered from
+numeric candidates by continued-fraction rationalization and verified
+exactly; the rest get start points from the companion-matrix eigensolver
+and one double-precision Newton step, computed once per factor: the search
+that finds no more rational roots keeps its start points.
 ``univariate_roots`` returns those roots unrefined, for every level of the
-solve; the solver refines each floating one once against the exact
-eliminant (``unipoly.refined_values``).
+solve; the solver refines each real floating one, and one of each exact
+conjugate pair, once against the exact eliminant
+(``unipoly.refined_values``).
 """
 
 from __future__ import annotations
@@ -52,42 +55,42 @@ def _roots_of_squarefree(factor):
     """Roots of an exact square-free polynomial, each with multiplicity one.
 
     Returns the verified rational roots, then the roots of the factor left
-    once they are divided out, as double-precision start points.
+    once they are divided out, as double-precision start points.  The start
+    points of the last factor searched for a rational root are kept: the
+    search computes them, and finding no rational root leaves that factor
+    as it is.
     """
     work = list(factor)
     exact_roots = []
     # peel off verified rational roots so the numeric part shrinks
     while unipoly.deg(work) > 0:
         coeffs_f = _float_coeffs(work)
-        numeric = np.roots(list(reversed(coeffs_f)))
-        found = None
-        for z in numeric:
+        starts, found = [], None
+        for z in np.roots(list(reversed(coeffs_f))):
             z = _newton_polish(coeffs_f, complex(z))
-            for cand in _rational_candidates(z):
-                if unipoly.evaluate(work, cand) == 0:
-                    found = cand
-                    break
+            found = next(
+                (c for c in _rational_candidates(z) if unipoly.evaluate(work, c) == 0), None
+            )
             if found is not None:
                 break
+            starts.append(z)
         if found is None:
-            break
+            return exact_roots + starts
         exact_roots.append(found)
         # divide by (t - root) exactly
         work = unipoly.exact_div(work, [-found, rational(1)])
-    starts = []
-    if unipoly.deg(work) > 0:
-        coeffs_f = _float_coeffs(work)
-        starts = [_newton_polish(coeffs_f, complex(z)) for z in np.roots(list(reversed(coeffs_f)))]
-    return exact_roots + starts
+    return exact_roots
 
 
-def univariate_roots(coeffs):
+def univariate_roots(coeffs, *, factors=None):
     """The roots of an exact univariate polynomial with multiplicities, unrefined.
 
     Returns a list of (root, multiplicity): exact rationals where verified,
     otherwise double-precision start points for an exact refinement.  The
-    multiplicity total equals the degree.  Raises RootfindingError on the
-    zero polynomial.
+    multiplicity total equals the degree.  ``factors``, when given, is the
+    square-free decomposition of ``coeffs`` that the caller already holds,
+    as ``unipoly.squarefree_decomposition`` would return it.  Raises
+    RootfindingError on the zero polynomial.
     """
     c = unipoly.trim(list(coeffs))
     if not c:
@@ -95,7 +98,7 @@ def univariate_roots(coeffs):
     if unipoly.deg(c) == 0:
         return []
     out = []
-    for factor, mult in unipoly.squarefree_decomposition(c):
+    for factor, mult in factors or unipoly.squarefree_decomposition(c):
         out.extend((r, mult) for r in _roots_of_squarefree(factor))
     return _sorted(out)
 

@@ -10,13 +10,19 @@ univariate representation that ``groebner.fglm`` checks exactly over Q, in
 the last variable z or, when z does not separate the chart's points, in a
 random linear form u = z + sum c_i x_i with recorded seed, read off the same
 basis.  Points with rational coordinates are produced exactly; the rest are
-complex doubles read off that checked representation.
+complex doubles read off that checked representation, each coordinate
+formed at full precision and rounded once.  The representation has rational
+coefficients, so conjugation maps a chart's points to its points: of each
+exact conjugate pair of floating roots one is refined, and the other gets
+the conjugate coordinates.
 """
 
 from __future__ import annotations
 
 import random
 from math import lcm
+
+import numpy as np
 
 from . import unipoly
 from . import groebner as gb_engine
@@ -126,16 +132,35 @@ def _poly_scale(p: Polynomial) -> float:
 
 
 def _complex_residuals(gens):
-    """Per generator: a copy with complex coefficients, and its ``_poly_scale``.
+    """Per generator: its exponents as an integer array (one row per term),
+    its coefficients as a complex vector, and its ``_poly_scale``.
 
-    Made once per generator, for evaluation at many floating points.  The
-    copy's values are bit for bit the generator's: ``Fraction * complex``
-    is ``complex(Fraction) * complex``.
+    Made once per generator, for ``_floating_residuals`` to evaluate it at
+    many floating points.
     """
-    return [
-        (Polynomial(g.nvars, {m: complex(c) for m, c in g.terms.items()}), _poly_scale(g))
-        for g in gens
+    out = []
+    for g in gens:
+        monos = list(g.terms)
+        exps = np.array(monos, dtype=np.int64).reshape(len(monos), g.nvars)
+        coeffs = np.array([complex(g.terms[m]) for m in monos], dtype=complex)
+        out.append((exps, coeffs, _poly_scale(g)))
+    return out
+
+
+def _floating_residuals(points, residuals) -> list:
+    """|g(p)| for each floating point p, one list per point over the minors g.
+
+    ``residuals`` are the minors in ``_complex_residuals`` form; each minor
+    is evaluated at all the points in one numpy expression.
+    """
+    xs = np.array([p.as_complex() for p in points], dtype=complex)
+    if not len(xs):
+        return []
+    values = [
+        (xs[:, None, :] ** exps[None, :, :]).prod(axis=2) @ coeffs
+        for exps, coeffs, _ in residuals
     ]
+    return np.abs(np.array(values)).T.tolist()
 
 
 def _integer_residuals(gens):
@@ -207,11 +232,9 @@ def solve_zero_dimensional(system, rng=None):
 
 
 def _unshear(coords, coeffs):
-    *rest, zp = coords
-    z = zp
-    for c, x in zip(coeffs, rest):
-        z = z - rational(c) * x if not isinstance(x, complex) else z - c * x
-    return tuple(rest) + (z,)
+    """Exact chart coordinates with the last one u replaced by z = u - sum c_i x_i."""
+    *rest, u = coords
+    return tuple(rest) + (u - sum(c * x for c, x in zip(coeffs, rest)),)
 
 
 def _solve_by_elimination(polys, k, rng):
@@ -256,45 +279,78 @@ def _shape_back_substitute(lex, coeffs, k):
 
     Returns the points and the notes of the floating roots dropped because
     their refinement failed.  Each polynomial is prepared for fixed point
-    once, for all the roots.
+    once, for all the roots, and a square-free eliminant is passed on to
+    ``univariate_roots`` as its own decomposition.
+
+    A non-real start z0 whose exact conjugate is a start too is refined
+    once, and the conjugate start gets the conjugate coordinates.  That is
+    the same point: p_sq, the g_i and p_sq' have rational coefficients and
+    the shear is integral, so x_i(conj z) = conj x_i(z), before and after
+    the unshear.  The pairing is by exact equality, with no tolerance:
+    ``np.roots`` of a real companion matrix returns exact conjugate pairs,
+    and ``roots._newton_polish`` keeps them exact, since IEEE complex
+    arithmetic with real coefficients commutes with conjugation.  When the
+    refinement fails, both roots are dropped, each with its own note.
     """
     numerators = [lex.numerators[i] for i in range(k - 1)]
     squarefree = unipoly.FixedPoly(lex.squarefree)
     polys = [unipoly.FixedPoly(g) for g in numerators + [lex.denominator]]
+    factors = [(lex.squarefree, 1)] if len(lex.squarefree) == len(lex.eliminant) else None
+    twins = {}  # a start's conjugate -> the start's coordinates, or its error
     sols, notes = [], []
-    for z0, mult in univariate_roots(lex.eliminant):
+    for z0, mult in univariate_roots(lex.eliminant, factors=factors):
         if is_rational(z0):
             den = unipoly.evaluate(lex.denominator, z0)
             coords = tuple(unipoly.evaluate(g, z0) / den for g in numerators) + (z0,)
+            coords = _unshear(coords, coeffs) if any(coeffs) else coords
+        elif z0 in twins:
+            coords = twins.pop(z0)
+            if not isinstance(coords, ArithmeticError):
+                coords = tuple(c.conjugate() for c in coords)
         else:
             try:
-                coords = _rur_point(squarefree, polys, z0)
+                coords = _rur_point(squarefree, polys, z0, coeffs)
             except ArithmeticError as exc:
-                notes.append(f"root near {z0:.6g} dropped: {exc}")
-                continue
-        coords = _unshear(coords, coeffs) if any(coeffs) else coords
+                coords = exc
+            if z0.imag:
+                twins[z0.conjugate()] = coords
+        if isinstance(coords, ArithmeticError):
+            notes.append(f"root near {z0:.6g} dropped: {coords}")
+            continue
         sols.append((coords, mult))
     return sols, notes
 
 
-def _rur_point(squarefree, polys, z0):
-    """The coordinates g_i(z) / p_sq'(z) at the root z near z0, in double precision.
+def _rur_point(squarefree, polys, z0, coeffs=()):
+    """The chart coordinates at the root u near z0, in double precision.
 
     ``polys`` are the numerators g_i followed by the denominator p_sq', and
-    ``squarefree`` is p_sq, as coefficient lists or ``unipoly.FixedPoly``.
+    ``squarefree`` is p_sq, as coefficient lists or ``unipoly.FixedPoly``;
+    ``coeffs`` is the chart's shear.  The coordinates are x_i = g_i(u) /
+    p_sq'(u) and z = (u p_sq'(u) - sum c_i g_i(u)) / p_sq'(u), recovered
+    from u = z + sum c_i x_i, each formed from the full-precision values
+    and rounded once: rounding the x_i first would let a shear of c_i near
+    30 multiply their rounding errors in z.  With no shear, z is u.
     The values come from ``refined_values`` within 2**-bits, so a quotient
-    keeps 64 bits while |p_sq'(z)| >= 2**(64 - bits).  Until the computed
-    |p_sq'(z)| shows that, they are computed again with the bits it costs;
+    keeps 64 bits while |p_sq'(u)| >= 2**(64 - bits).  Until the computed
+    |p_sq'(u)| shows that, they are computed again with the bits it costs;
     a denominator lost in the error reads too small, so each pass raises
-    bits by more than 32 until |p_sq'(z)|, nonzero at a simple root, is seen.
+    bits by more than 32 until |p_sq'(u)|, nonzero at a simple root, is seen.
     """
     bits = unipoly.REFINE_BITS
-    z_ref, values = unipoly.refined_values(squarefree, polys, z0)
+    u, values = unipoly.refined_values(squarefree, polys, z0)
     while (short := 65 - values[-1].exponent()) > bits:
         bits = short + 32
-        z_ref, values = unipoly.refined_values(squarefree, polys, z0, bits)
+        u, values = unipoly.refined_values(squarefree, polys, z0, bits)
     *tops, bottom = values
-    return tuple(top / bottom for top in tops) + (complex(z_ref),)
+    if any(coeffs):
+        z = u * bottom
+        for c, top in zip(coeffs, tops):
+            z = z - top * c
+        last = z / bottom
+    else:
+        last = complex(u)
+    return tuple(top / bottom for top in tops) + (last,)
 
 
 # -- full eigenpoint enumeration --------------------------------------------
@@ -435,16 +491,11 @@ def _solve_projective(slices, filters, rng, charts, diagnostics, shears, prefix,
     return out
 
 
-def _residuals_at(p, residuals):
-    """|g(p)| and its scale for each minor g in ``_complex_residuals`` form, at a floating p."""
-    coords = p.as_complex()
-    return ((abs(complex(g.evaluate(coords))), scale) for g, scale in residuals)
-
-
 def _check_residuals(points, gens, diagnostics) -> bool:
     ok = True
     residuals = _complex_residuals(gens)
     exact = _integer_residuals(gens)
+    floating = iter(_floating_residuals([p for p, _ in points if not p.exact], residuals))
     for p, _ in points:
         if p.exact:
             xs = _integer_point(p.coords)
@@ -454,7 +505,7 @@ def _check_residuals(points, gens, diagnostics) -> bool:
                     ok = False
                     break
         else:
-            for val, scale in _residuals_at(p, residuals):
+            for val, (_, _, scale) in zip(next(floating), residuals):
                 if val > RESIDUAL_TOL * scale:
                     diagnostics.append(f"point {p!r} residual {val:.2e} on a minor")
                     ok = False
@@ -467,21 +518,21 @@ def curve_membership_check(t: PartialSymTensor, i: int, j: int, solution: EigenS
     if i == j:
         raise ValueError("need two distinct deleted columns")
     report = {"i": i, "j": j, "max_residual": 0.0, "all_exact_zero": True, "count": 0}
+    floating = [p for p, _ in solution.points if not p.exact]
     for deleted in (i, j):
         gens = minor_ideal_generators(EigenMatrix(t, (deleted,)))
         residuals = _complex_residuals(gens)
         exact = _integer_residuals(gens)
+        report["count"] += len(solution.points)
         for p, _ in solution.points:
-            report["count"] += 1
             if p.exact:
                 xs = _integer_point(p.coords)
-                for terms in exact:
-                    if not _vanishes_at(terms, xs):
-                        report["all_exact_zero"] = False
-                        report["max_residual"] = float("inf")
-            else:
-                report["all_exact_zero"] = False
-                for val, scale in _residuals_at(p, residuals):
-                    report["max_residual"] = max(report["max_residual"], val / scale)
+                if not all(_vanishes_at(terms, xs) for terms in exact):
+                    report["all_exact_zero"] = False
+                    report["max_residual"] = float("inf")
+        for vals in _floating_residuals(floating, residuals):
+            report["all_exact_zero"] = False
+            for val, (_, _, scale) in zip(vals, residuals):
+                report["max_residual"] = max(report["max_residual"], val / scale)
     report["passes"] = report["max_residual"] <= RESIDUAL_TOL or report["all_exact_zero"]
     return report

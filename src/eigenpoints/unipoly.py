@@ -293,6 +293,22 @@ class FixedComplex:
     def __neg__(self) -> "FixedComplex":
         return FixedComplex(-self.re, -self.im, self.scale)
 
+    def __mul__(self, other) -> "FixedComplex":
+        """The exact product with an int or with another ``FixedComplex``."""
+        if isinstance(other, int):
+            return FixedComplex(self.re * other, self.im * other, self.scale)
+        return FixedComplex(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+            self.scale + other.scale,
+        )
+
+    def __sub__(self, other: "FixedComplex") -> "FixedComplex":
+        """The exact difference, at the finer of the two scales."""
+        scale = max(self.scale, other.scale)
+        (ar, ai), (br, bi) = self._gaussian(scale), other._gaussian(scale)
+        return FixedComplex(ar - br, ai - bi, scale)
+
     def _gaussian(self, scale: int) -> tuple:
         shift = scale - self.scale
         return self.re << shift, self.im << shift

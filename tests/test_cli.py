@@ -98,6 +98,17 @@ def test_verify_rejects_a_pair_part_that_is_no_finite_double(tmp_path, capsys, p
     assert "bad points file" in capsys.readouterr().err
 
 
+def test_verify_a_point_whose_modulus_passes_the_double_range(tmp_path, capsys):
+    # each part is a finite double, but |z| is not: the point is normalized
+    # without forming |z|, and the run decides instead of failing inside
+    path = tmp_path / "points.json"
+    path.write_text('{"n": 2, "points": [{"coords": [[1.7e308, -1.7e308], 1, 1]}]}')
+    assert run(["verify", str(path), "--degree", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "UNDECIDED" in captured.out
+    assert "internal inconsistency" not in captured.err
+
+
 def test_verify_cardinality_warning(fermat_files, tmp_path, capsys):
     _, points = fermat_files
     data = json.loads(points.read_text())

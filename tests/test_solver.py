@@ -1,3 +1,6 @@
+import cmath
+import random
+
 import pytest
 
 from eigenpoints.counts import expected_count
@@ -135,12 +138,66 @@ def test_each_floating_root_is_refined_once(monkeypatch):
         monkeypatch.setattr(unipoly, name, counting)
     sol = eigenpoints(random_tensor(2, 5, seed=1), seed=0)
     assert sol.certified and sol.charts_solved == ["x0=1"]
-    floating = sum(1 for p, _ in sol.points if not p.exact)
-    assert floating > 6
+    floating = [p for p, _ in sol.points if not p.exact]
+    real = sum(1 for p in floating if p.is_real(0.0))
+    pairs = (len(floating) - real) // 2
+    assert real and pairs > 3
     assert calls["newton_correction"] == 0
-    assert calls["refined_values"] == calls["_newton"] == floating
+    # one refinement per real floating root and one per conjugate pair
+    assert calls["refined_values"] == calls["_newton"] == real + pairs
     # p_sq, g_1 and p_sq' are converted for the chart, not for each root
     assert calls["_to_fixed"] <= 6
+
+
+@pytest.mark.parametrize("n, d", [(2, 6), (3, 4)])
+def test_every_non_real_point_has_its_exact_conjugate(n, d):
+    sol = eigenpoints(random_tensor(n, d, SEEDS[0]), seed=0)
+    assert sol.certified
+    coords = {p.as_complex() for p, _ in sol.points if not p.exact}
+    non_real = [c for c in coords if any(z.imag for z in c)]
+    assert len(non_real) > 4
+    assert all(tuple(z.conjugate() for z in c) in coords for c in non_real)
+
+
+def test_a_dropped_root_drops_its_conjugate_twin(monkeypatch):
+    from eigenpoints import unipoly
+
+    from eigenpoints import solver
+
+    monkeypatch.setattr(unipoly, "NEWTON_STEPS", 1)
+    refined, rur_point = [], solver._rur_point
+
+    def recording(squarefree, polys, z0, *rest):
+        refined.append(z0)
+        return rur_point(squarefree, polys, z0, *rest)
+
+    monkeypatch.setattr(solver, "_rur_point", recording)
+    sol = eigenpoints(random_tensor(2, 5, seed=1), seed=0)
+    prefix, suffix = "x0=1: root near ", " dropped: Newton did not converge in 1 steps"
+    near = [
+        complex(d[len(prefix) : -len(suffix)])
+        for d in sol.diagnostics
+        if d.startswith(prefix) and d.endswith(suffix)
+    ]
+    non_real = [z for z in near if z.imag]
+    assert non_real
+    # each dropped non-real root has its own note, and so has its twin
+    assert all(z.conjugate() in near for z in non_real)
+    assert len(set(near)) == len(near)
+    # and only one root of each pair was refined
+    assert not any(z.imag and z.conjugate() in refined for z in refined)
+
+
+@pytest.mark.parametrize("n, d", [(2, 5), (2, 7), (3, 5)])
+def test_sheared_fermat_points_round_once(n, d):
+    # the Fermat points have coordinates 0 and (d-2)-th roots of unity, and
+    # their charts are sheared: each coordinate is one rounding away
+    sol = eigenpoints(fermat_tensor(n, d), seed=0)
+    assert sol.certified and any(any(c) for c in sol.seed_info["shears"].values())
+    targets = [0j] + [cmath.exp(2j * cmath.pi * k / (d - 2)) for k in range(d - 2)]
+    floating = [z for p, _ in sol.points if not p.exact for z in p.as_complex()]
+    assert floating
+    assert max(min(abs(z - t) for t in targets) for z in floating) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -152,9 +209,9 @@ def test_every_level_isolates_its_roots_in_univariate_roots(monkeypatch, tensor)
     degrees = []
     isolate = solver.univariate_roots
 
-    def counting(coeffs):
+    def counting(coeffs, **kwargs):
         degrees.append(len(coeffs) - 1)
-        return isolate(coeffs)
+        return isolate(coeffs, **kwargs)
 
     monkeypatch.setattr(solver, "univariate_roots", counting)
     sol = eigenpoints(tensor, seed=0)
@@ -219,18 +276,29 @@ def test_residuals_on_minors():
 
 
 def test_hoisted_residuals_match_evaluate():
-    from eigenpoints.solver import _complex_residuals, _poly_scale
+    from eigenpoints.solver import _complex_residuals, _floating_residuals, _poly_scale
 
     t = random_tensor(2, 6, seed=SEEDS[0])
     sol = eigenpoints(t, seed=0)
     floating = [p for p, _ in sol.points if not p.exact]
     assert sol.certified and floating
+    # points off the eigenscheme too, where the minors are far from zero
+    rng = random.Random(5)
+    off = [
+        ProjectivePoint([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)])
+        for _ in range(4)
+    ]
     gens = minor_ideal_generators(EigenMatrix(t))
-    for p in floating:
-        coords = p.as_complex()
-        for g, (gc, scale) in zip(gens, _complex_residuals(gens)):
+    residuals = _complex_residuals(gens)
+    values = _floating_residuals(floating + off, residuals)
+    assert len(values) == len(floating) + len(off)
+    for p, vals in zip(floating + off, values):
+        for g, val, (_, _, scale) in zip(gens, vals, residuals):
             assert scale == _poly_scale(g)
-            assert gc.evaluate(coords) == complex(g.evaluate(list(coords)))
+            # the array expression and term-by-term evaluation agree up to
+            # rounding, whatever the size of the value
+            assert abs(val - abs(complex(g.evaluate(list(p.as_complex()))))) <= 1e-13 * scale
+    assert _floating_residuals([], residuals) == []
     report = curve_membership_check(t, 0, 1, sol)
     worst = max(
         abs(complex(g.evaluate(list(p.as_complex())))) / _poly_scale(g)
@@ -238,7 +306,7 @@ def test_hoisted_residuals_match_evaluate():
         for g in minor_ideal_generators(EigenMatrix(t, (deleted,)))
         for p in floating
     )
-    assert report["max_residual"] == worst
+    assert report["passes"] and abs(report["max_residual"] - worst) <= 1e-13
 
 
 def test_degenerate_tensor_flagged():
