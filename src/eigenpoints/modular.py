@@ -7,6 +7,11 @@ is accepted only once it passes an exact check over Q.  ``groebner.fglm``
 lifts Krylov data this way; ``kernel`` lifts reduced-echelon kernel bases.
 ``pivot_columns`` lifts nothing: the pivot columns of an image are
 independent over Q, so their number is a proved lower bound on the rank.
+The rank of an image of some of the rows is a lower bound too, since
+dropping rows only grows the kernel over Q: ``reconstruction.eigenscheme_kernel``
+proves a kernel's dimension from an image of the conditions of its first
+few points when a subspace known to lie in the kernel fills what that
+image leaves, and looks at more rows only when it does not.
 
 Every image is row-reduced by ``_rref_mod``, the one modular elimination of
 the package, in int64 and reduced modulo q lazily.  A lift attempt
@@ -52,13 +57,29 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# The primes found so far below 2**bits, largest first, by bits: a lift of
+# 85 primes would otherwise rerun Miller-Rabin on every candidate per call.
+_FOUND: dict = {}
+
+
 def _primes(bits: int):
-    """The primes below 2**bits, largest first: the fixed list the lifts work modulo."""
-    n = (1 << bits) - 1
-    while n > 2:
-        if _is_prime(n):
-            yield n
-        n -= 2
+    """The primes below 2**bits, largest first: the fixed list the lifts work modulo.
+
+    Each prime is tested once per process and kept in ``_FOUND``; the list
+    grows only when a caller reads past its end.
+    """
+    found = _FOUND.setdefault(bits, [])
+    k = 0
+    while True:
+        if k == len(found):
+            n = found[-1] - 2 if found else (1 << bits) - 1
+            while n > 2 and not _is_prime(n):
+                n -= 2
+            if n <= 2:
+                return
+            found.append(n)
+        yield found[k]
+        k += 1
 
 
 # Primes a lift may try before it gives up.  The primes have 27 to 29 bits

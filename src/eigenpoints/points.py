@@ -1,14 +1,16 @@
 """Projective points and deduplicated point sets.
 
 Exact points are normalized so their first nonzero coordinate is 1;
-floating points so the max-modulus coordinate is 1.  Coordinates
+floating points so the max-modulus coordinate is 1.  Points are compared
+by the chordal distance, which needs no normalization.  Coordinates
 serialize as "num/den" strings (exact) or [re, im] pairs (floating).
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from math import isfinite, ldexp
+from itertools import combinations
+from math import hypot, isfinite, ldexp
 
 from .rationals import format_rational, is_rational, parse_rational, rational
 
@@ -63,8 +65,19 @@ class ProjectivePoint:
         return all(abs(z.imag) <= tol for z in self.as_complex())
 
     def distance(self, other: "ProjectivePoint") -> float:
+        """The chordal distance max |a_i b_j - a_j b_i| / (|a| |b|).
+
+        It is 0 exactly when a and b are one projective point, and it
+        needs no lead coordinate: two renderings of a point whose
+        coordinates tie in modulus are close whichever coordinate each was
+        normalized by.
+        """
         a, b = self.as_complex(), other.as_complex()
-        return max(abs(x - y) for x, y in zip(a, b))
+        cross = max(
+            (abs(a[i] * b[j] - a[j] * b[i]) for i, j in combinations(range(len(a)), 2)),
+            default=0.0,
+        )
+        return cross / (hypot(*map(abs, a)) * hypot(*map(abs, b)))
 
     def same_point(self, other: "ProjectivePoint", tol: float = FLOAT_DEDUP_TOL) -> bool:
         if len(self.coords) != len(other.coords):

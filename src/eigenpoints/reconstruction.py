@@ -18,6 +18,7 @@ from math import comb, lcm
 
 import numpy as np
 
+from . import modular
 from .configuration import _mono_value, _monomials, subset_on_hypersurface
 from .counts import expected_count
 from .exact_linalg import ExactMatrix
@@ -165,6 +166,51 @@ def containment_system(points, n: int, d: int) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
+def containment_image(points, n: int, d: int, q: int, symmetric: bool = False):
+    """The rows of ``containment_system`` modulo the prime q, as an int64 array.
+
+    Built by numpy straight from the points, with no exact row: each point
+    is scaled by the lcm of its denominators as there, and its coordinates
+    are reduced modulo q once.  The monomial values come from a table of
+    their powers, and the rows x_k g_j - x_j g_k, k the first nonzero
+    coordinate over Q, are placed by block.  With ``symmetric`` the
+    exactness rows (``_symmetry_rows``) come first, so the rows of the first
+    m points, with them, are a prefix.  Entries are in [0, q); q**2 < 2**63.
+    """
+    basis = TensorSpaceBasis(n, d)
+    pts = _point_list(points, n)
+    nv, block = n + 1, basis.block
+    x = np.zeros((len(pts), nv), dtype=np.int64)
+    lead = np.zeros(len(pts), dtype=np.intp)
+    for r, p in enumerate(pts):
+        if not p.exact:
+            raise ValueError("containment_image needs exact rational points")
+        scale = lcm(*(int(c.denominator) for c in p.coords))
+        x[r] = [int(c.numerator) * (scale // int(c.denominator)) % q for c in p.coords]
+        lead[r] = next(i for i, c in enumerate(p.coords) if c)
+    powers = np.ones((len(pts), nv, d), dtype=np.int64)
+    for e in range(1, d):
+        powers[:, :, e] = powers[:, :, e - 1] * x % q
+    exponents = np.array(basis.monomials, dtype=np.intp)
+    values = np.ones((len(pts), block), dtype=np.int64)
+    for i in range(nv):
+        values = values * powers[:, i, exponents[:, i]] % q
+    # row t of point p sets slice j, the t-th index other than k = lead[p]
+    t = np.arange(n)
+    point = np.repeat(np.arange(len(pts)), n)
+    k = lead[point]
+    j = (t + (t >= lead[:, None])).ravel()
+    row = np.arange(len(point))
+    rows = np.zeros((len(point), nv, block), dtype=np.int64)
+    rows[row, j] = x[point, k][:, None] * values[point] % q
+    rows[row, k] = (q - x[point, j])[:, None] * values[point] % q
+    rows = rows.reshape(len(point), basis.dimension)
+    if symmetric:
+        exactness = np.array(_symmetry_rows(basis), dtype=np.int64).reshape(-1, basis.dimension)
+        rows = np.concatenate([exactness % q, rows])
+    return rows
+
+
 def _point_list(points, n):
     if isinstance(points, PointSet) and points.n != n:
         raise ValueError("point set has wrong ambient dimension")
@@ -228,24 +274,47 @@ def eigenscheme_kernel(points, n: int, d: int, symmetric: bool = False) -> Kerne
     subspace (tuples that are gradients); the degenerate dimension is then
     the dimension of the degenerate tensors that are gradients.
 
-    The degenerate tensors always lie in the kernel, and the rank of one
-    modular image is at most the rank over Q.  So when the image leaves a
-    kernel of the degenerate dimension, that is the kernel's dimension, and
-    the vectors are lifted only if they are read.  Otherwise the kernel is
-    lifted at once.
+    The degenerate tensors always lie in the kernel, the rank of a modular
+    image is at most the rank over Q, and adding rows only shrinks the
+    kernel over Q.  So when the image of the rows of some of the points
+    leaves a kernel of the degenerate dimension, that is the dimension of
+    the whole set's kernel.  The proof is tried from one int64 image
+    (``containment_image``) modulo the first prime for the tensor space's
+    dimension: first on the rows of the first
+    ceil((dimension - degenerate dimension) / n) + 1 points, as few as
+    reach the rank, then on all of them.  On such a NO no exact row is
+    built, and the vectors are lifted only if they are read.  Otherwise the
+    exact system is built and its kernel lifted at once.
     """
     pts = _point_list(points, n)
     basis = TensorSpaceBasis(n, d)
     if pts and not all(p.exact for p in pts):
         return _numeric_kernel(pts, basis, symmetric)
-    matrix = containment_system(pts, n, d)
+    degenerate_dim = degenerate_dimension(n, d, symmetric)
+    q = next(modular._primes(modular._prime_bits(basis.dimension)))
+    image = containment_image(pts, n, d, q, symmetric)
+    # the exactness rows and the rows of the first points, then all rows
+    first = -(-(basis.dimension - degenerate_dim) // n) + 1
+    head = len(image) - n * (len(pts) - first)
+    for rows in (image[:head], image) if head < len(image) else (image,):
+        if basis.dimension - len(modular._rref_mod(rows.copy(), q)) == degenerate_dim:
+            return KernelReport(
+                basis,
+                degenerate_dim,
+                degenerate_dim,
+                symmetric,
+                lambda: _exact_system(pts, basis, symmetric).right_kernel(),
+            )
+    kernel = _exact_system(pts, basis, symmetric).right_kernel()
+    return KernelReport(basis, len(kernel), degenerate_dim, symmetric, kernel)
+
+
+def _exact_system(pts, basis: TensorSpaceBasis, symmetric: bool) -> ExactMatrix:
+    """The containment system, with the exactness rows when ``symmetric``."""
+    matrix = containment_system(pts, basis.n, basis.d)
     if symmetric:
         matrix = ExactMatrix(matrix.entries + _symmetry_rows(basis))
-    degenerate_dim = degenerate_dimension(n, d, symmetric)
-    if matrix.cols - matrix.rank_bound() == degenerate_dim:
-        return KernelReport(basis, degenerate_dim, degenerate_dim, symmetric, matrix.right_kernel)
-    kernel = matrix.right_kernel()
-    return KernelReport(basis, len(kernel), degenerate_dim, symmetric, kernel)
+    return matrix
 
 
 def _numeric_kernel(pts, basis: TensorSpaceBasis, symmetric: bool) -> KernelReport:

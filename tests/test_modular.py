@@ -118,3 +118,22 @@ def test_lazy_echelon_equals_the_eager_one(bits):
         lazy, eager = a.copy(), a.copy()
         assert modular._rref_mod(lazy, q) == _eager_rref(eager, q), k
         assert np.array_equal(lazy, eager), k
+
+
+def test_primes_are_tested_once_per_process(monkeypatch):
+    monkeypatch.setattr(modular, "_FOUND", {})
+    first = list(islice(modular._primes(23), 40))
+    calls = []
+    is_prime = modular._is_prime
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(modular, "_is_prime", counting)
+    assert list(islice(modular._primes(23), 40)) == first
+    assert calls == []
+    # reading past the kept list tests only the candidates after it
+    more = list(islice(modular._primes(23), 41))
+    assert more[:40] == first and calls and min(calls) == more[40]
+    assert first == [p for p in range(2**23 - 1, first[-1] - 1, -2) if is_prime(p)]

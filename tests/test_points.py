@@ -114,3 +114,43 @@ def test_point_set_keeps_the_order_of_a_stable_sort():
             kept.append(p)
             assert ps.points == sorted(kept, key=lambda q: q.sort_key())
     assert len({p.sort_key() for p in kept}) < len(kept)
+
+
+def _tie_broken_the_other_way(p):
+    """p normalized by its last coordinate of top modulus, with the other tied
+    coordinates shrunk by one part in 2**50 so that this one stays the lead."""
+    zs = p.as_complex()
+    mags = [abs(z) for z in zs]
+    tied = [i for i, m in enumerate(mags) if m > max(mags) * (1 - 1e-12)]
+    lead = zs[tied[-1]]
+    coords = [z / lead * (1 - 2.0**-50 if i in tied[:-1] else 1) for i, z in enumerate(zs)]
+    return ProjectivePoint(coords)
+
+
+def test_renderings_of_tied_points_are_the_same_set():
+    from eigenpoints.solver import eigenpoints
+    from eigenpoints.tensors import fermat_tensor
+
+    # coordinates of the Fermat points are 0 and 5th roots of unity
+    sol = eigenpoints(fermat_tensor(2, 7), seed=0)
+    ps = sol.point_set()
+    other = PointSet(2, [_tie_broken_the_other_way(p) for p in ps])
+    flipped = [
+        (p, q)
+        for p, q in zip(ps, map(_tie_broken_the_other_way, ps))
+        if max(abs(x - y) for x, y in zip(p.as_complex(), q.as_complex())) > 0.5
+    ]
+    # many renderings differ by about 1 in some normalized coordinate
+    assert len(flipped) > 10
+    assert all(p.distance(q) < 1e-14 for p, q in flipped)
+    assert len(other) == len(ps) == sol.expected
+    assert ps.same_set(other) and other.same_set(ps)
+
+
+def test_chordal_distance_of_distinct_points():
+    a = ProjectivePoint([1.0, 0.0, 0.0])
+    b = ProjectivePoint([1.0, 1.0, 0.0])
+    assert a.distance(b) == pytest.approx(2**-0.5)
+    assert a.distance(a) == 0.0
+    assert not a.same_point(ProjectivePoint([1.0, 1e-6, 0.0]))
+    assert a.same_point(ProjectivePoint([1.0, 1e-10j, 0.0]))

@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
+import numpy as np
 import pytest
 
 from eigenpoints import modular
@@ -185,6 +186,75 @@ def test_unlucky_first_prime_keeps_the_decision_and_the_kernel(
     assert rep.to_json() == reference.to_json()
     assert rep.kernel_vectors == vectors
     assert R.is_eigenscheme(pts, 3, 3, symmetric=symmetric) == decision
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("n, d, count", [(2, 4, 9), (3, 3, 6), (3, 4, 14)])
+@pytest.mark.parametrize("q", [1_000_003, None])
+def test_containment_image_is_the_system_modulo_q(n, d, count, symmetric, q):
+    pts = _rational_points(n, count, seed=7 * n + d + count)
+    assert any(p.coords[0] == 0 for p in pts)
+    assert any(c.denominator > 1 for p in pts for c in p.coords)
+    basis = R.TensorSpaceBasis(n, d)
+    q = q or next(modular._primes(modular._prime_bits(basis.dimension)))
+    rows = R.containment_system(pts, n, d).entries
+    if symmetric:
+        rows = R._symmetry_rows(basis) + rows
+    image = R.containment_image(pts, n, d, q, symmetric)
+    assert image.dtype == np.int64
+    assert image.tolist() == [[x % q for x in row] for row in rows]
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments and result."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_no_from_the_image_builds_no_exact_row(monkeypatch):
+    pts = _random_points(3, 40, seed=9, box=25)
+    systems = _counting(monkeypatch, R, "containment_system")
+    kernels = _counting(monkeypatch, ExactMatrix, "right_kernel")
+    images = _counting(monkeypatch, modular, "_rref_mod")
+    assert R.is_eigenscheme(pts, 3, 4)["decision"] == "NO"
+    assert systems == [] and kernels == []
+    # the rows of ceil(70 / 3) + 1 = 25 points reach the rank
+    assert [(a.shape, len(pivots)) for (a, _), pivots in images] == [((75, 80), 70)]
+
+
+def _fermat_34_points():
+    """The 40 Fermat (3,4) eigenpoints: coordinates 0 and +-1, first nonzero 1."""
+    return [
+        ProjectivePoint([rational(x) for x in c])
+        for c in product((0, 1, -1), repeat=4)
+        if any(c) and c[next(i for i, x in enumerate(c) if x)] == 1
+    ]
+
+
+def test_no_from_all_rows_when_the_first_points_prove_nothing(monkeypatch, kernel_calls):
+    fermat = _fermat_34_points()
+    assert len(fermat) == 40
+    extra = [p for p in _random_points(3, 15, seed=11, box=20) if p not in fermat]
+    assert len(extra) == 15
+    pts = fermat[:25] + extra
+    images = _counting(monkeypatch, modular, "_rref_mod")
+    systems = _counting(monkeypatch, R, "containment_system")
+    dec = R.is_eigenscheme(pts, 3, 4)
+    ranks = [(a.shape[0], len(pivots)) for (a, _), pivots in images]
+    # the 25 Fermat points lie on the Fermat tensor's eigenscheme, so their
+    # rows leave it in the kernel; all 40 points' rows prove NO
+    assert ranks[0][0] == 75 and ranks[0][1] < 70
+    assert ranks[1:] == [(120, 70)]
+    assert dec["decision"] == "NO" and dec["kernel"]["dimension"] == 10
+    assert systems == [] and kernel_calls == []
 
 
 def test_containment_system_builds_in_ints(monkeypatch):
