@@ -134,10 +134,11 @@ def test_renderings_of_tied_points_are_the_same_set():
     # coordinates of the Fermat points are 0 and 5th roots of unity
     sol = eigenpoints(fermat_tensor(2, 7), seed=0)
     ps = sol.point_set()
-    other = PointSet(2, [_tie_broken_the_other_way(p) for p in ps])
+    copies = [_tie_broken_the_other_way(p) for p in ps]
+    other = PointSet(2, copies)
     flipped = [
         (p, q)
-        for p, q in zip(ps, map(_tie_broken_the_other_way, ps))
+        for p, q in zip(ps, copies)
         if max(abs(x - y) for x, y in zip(p.as_complex(), q.as_complex())) > 0.5
     ]
     # many renderings differ by about 1 in some normalized coordinate
